@@ -36,8 +36,8 @@ model::Network make_network(int chargers, int tasks, std::uint64_t seed = 7) {
 /// the twins then isolates the pure deadline plumbing overhead, which
 /// bench_compare --check caps at 5%. BOTH twins go through this rebuild —
 /// reconstructing only the dl:1 net was measurably confounded by heap-layout
-/// luck (a freshly-copied net vs. the long-lived base differed by ~5% on the
-/// incremental rows with zero difference in work performed).
+/// luck (a freshly-copied net vs. the long-lived base differed by ~5% with
+/// zero difference in work performed).
 model::Network remake_network(const model::Network& base, bool inert_deadlines) {
   std::vector<model::Task> tasks = base.tasks();
   if (inert_deadlines) {
@@ -161,32 +161,29 @@ BENCHMARK(BM_GlobalGreedyMode)->Apply(GlobalGreedyModeArgs);
 
 void BM_OfflineTabular(benchmark::State& state) {
   // TabularGreedy (Algorithm 2) at the paper's C = 4 / S = 16 panel across
-  // instance scales, incremental vs rebuild marginal evaluation, with the
-  // data-oriented kernel layer toggled per config. `row_evals` counts
-  // per-(row, sample) utility-delta evaluations, `marginal_evals` full
-  // oracle calls, and `matches_rebuild` is 1 when the schedule is
-  // bit-identical to the rebuild reference (it must always be). The
-  // reference is always computed with the kernels OFF, so kernels:1 rows
-  // certify the kernel path against the scalar rebuild path directly.
-  // The dl axis swaps in the inert-deadline twin (factors all exactly 1, so
-  // schedules and counters stay bit-identical to dl:0); bench_compare
-  // --check caps the dl:1 wall-clock overhead at 5% of the dl:0 twin's.
+  // instance scales, with the data-oriented kernel layer toggled per config.
+  // `row_evals` counts per-(row, sample) utility-delta evaluations,
+  // `marginal_evals` full oracle calls, and `matches_rebuild` is 1 when the
+  // schedule is bit-identical to the reference (it must always be). The
+  // reference is always computed with the kernels OFF — the scalar
+  // per-policy marginal() loop — so kernels:1 rows certify the batched
+  // kernel path against it directly. The dl axis swaps in the
+  // inert-deadline twin (factors all exactly 1, so schedules and counters
+  // stay bit-identical to dl:0); bench_compare --check caps the dl:1
+  // wall-clock overhead at 5% of the dl:0 twin's.
   const int n = static_cast<int>(state.range(0));
-  const bool kernels = state.range(2) != 0;
-  const bool deadline_shape = state.range(3) != 0;
+  const bool kernels = state.range(1) != 0;
+  const bool deadline_shape = state.range(2) != 0;
   const model::Network base_net = make_network(n, 4 * n);
   const model::Network net = remake_network(base_net, deadline_shape);
   const auto partitions = core::build_partitions(net);
   core::OfflineConfig config;
   config.colors = 4;
   config.samples = 16;
-  config.mode = static_cast<core::TabularMode>(state.range(1));
-  core::OfflineConfig reference_config = config;
-  reference_config.mode = core::TabularMode::kRebuild;
   core::OfflineResult reference;
   {
     util::ScopedKernelToggle scalar_reference(false);
-    reference = core::schedule_offline_over(net, partitions, reference_config, {});
+    reference = core::schedule_offline_over(net, partitions, config, {});
   }
   util::ScopedKernelToggle toggle(kernels);
   core::OfflineResult result;
@@ -209,26 +206,24 @@ void BM_OfflineTabular(benchmark::State& state) {
   state.counters["matches_rebuild"] = matches ? 1.0 : 0.0;
 }
 void OfflineTabularArgs(benchmark::internal::Benchmark* bench) {
-  bench->ArgNames({"n", "mode", "kernels", "dl"});
-  // bench_compare --check gates ratios between these rows (kernel >= 1.8x,
-  // deadline plumbing <= 5%); the default 0.5 s budget gives the n:100 rows
-  // only ~4 iterations, which is visibly flaky at those thresholds. Even at
-  // 2 s per run, a single process draw still flaps a few percent on heap and
-  // code layout, so the family reports the median of 3 repetitions — the
-  // aggregate bench_compare pins against.
+  bench->ArgNames({"n", "kernels", "dl"});
+  // bench_compare --check gates ratios between these rows (kernels faster at
+  // every n >= 25 and >= 1.8x at the top scale, deadline plumbing <= 5%);
+  // the default 0.5 s budget gives the n:100 rows only ~4 iterations, which
+  // is visibly flaky at those thresholds. Even at 2 s per run, a single
+  // process draw still flaps a few percent on heap and code layout, so the
+  // family reports the median of 3 repetitions — the aggregate
+  // bench_compare pins against.
   bench->MinTime(2.0);
   bench->Repetitions(3);
   bench->ReportAggregatesOnly(true);
   for (const int n : {10, 25, 50, 100}) {
-    for (const core::TabularMode mode :
-         {core::TabularMode::kRebuild, core::TabularMode::kIncremental}) {
-      for (const int kernels : {0, 1}) {
-        bench->Args({n, static_cast<int>(mode), kernels, 0});
-        // Inert-deadline twins only at the top scale: that is where the
-        // plumbing-overhead pin applies, and the small scales are
-        // setup-dominated noise.
-        if (n == 100) bench->Args({n, static_cast<int>(mode), kernels, 1});
-      }
+    for (const int kernels : {0, 1}) {
+      bench->Args({n, kernels, 0});
+      // Inert-deadline twins only at the top scale: that is where the
+      // plumbing-overhead pin applies, and the small scales are
+      // setup-dominated noise.
+      if (n == 100) bench->Args({n, kernels, 1});
     }
   }
 }
@@ -237,23 +232,20 @@ BENCHMARK(BM_OfflineTabular)->Apply(OfflineTabularArgs);
 void BM_DeadlineSweep(benchmark::State& state) {
   // TabularGreedy on a genuinely deadline-tight instance (every task under a
   // harsh linear decay): the discounted-row construction, the hard drop of
-  // zero-factor rows, and the mismatched-delta cache bypasses all run on the
-  // hot path here. The scalar-rebuild reference certifies that the
-  // kernel/incremental paths stay bit-identical on deadline instances at
-  // bench scale, not just on the small differential-test instances.
+  // zero-factor rows, and the (task, delta) column dedup of tardy rows all
+  // run on the hot path here. The scalar reference certifies that the
+  // kernel path stays bit-identical on deadline instances at bench scale,
+  // not just on the small differential-test instances.
   const int n = static_cast<int>(state.range(0));
   const model::Network net = make_tight_deadline_network(n, 4 * n);
   const auto partitions = core::build_partitions(net);
   core::OfflineConfig config;
   config.colors = 4;
   config.samples = 16;
-  config.mode = core::TabularMode::kIncremental;
-  core::OfflineConfig reference_config = config;
-  reference_config.mode = core::TabularMode::kRebuild;
   core::OfflineResult reference;
   {
     util::ScopedKernelToggle scalar_reference(false);
-    reference = core::schedule_offline_over(net, partitions, reference_config, {});
+    reference = core::schedule_offline_over(net, partitions, config, {});
   }
   core::OfflineResult result;
   for (auto _ : state) {

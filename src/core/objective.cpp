@@ -324,17 +324,6 @@ double MarginalEngine::marginal(model::ChargerIndex i, model::SlotIndex k,
 }
 
 void MarginalEngine::partition_marginals(const PolicyPartition& partition, int c,
-                                         double* out) const {
-  thread_local std::vector<int> colors_buf;
-  colors_buf.resize(static_cast<std::size_t>(config_.samples));
-  for (int s = 0; s < config_.samples; ++s) {
-    colors_buf[static_cast<std::size_t>(s)] =
-        panel_color(config_.seed, s, partition.charger, partition.slot, config_.colors);
-  }
-  partition_marginals(partition, c, colors_buf, out);
-}
-
-void MarginalEngine::partition_marginals(const PolicyPartition& partition, int c,
                                          std::span<const int> sample_colors,
                                          double* out) const {
   const std::size_t count = partition.policies.size();
@@ -478,12 +467,6 @@ void MarginalEngine::row_terms(int s, const kernels::RowView& rows, double* out)
     out[t] = net_->weighted_task_utility(rows.tasks[t], before + rows.delta[t]) -
              net_->weighted_task_utility(rows.tasks[t], before);
   }
-}
-
-std::uint64_t MarginalEngine::version_sum(std::span<const model::TaskIndex> tasks) const {
-  std::uint64_t sum = 0;
-  for (model::TaskIndex j : tasks) sum += task_version_[static_cast<std::size_t>(j)];
-  return sum;
 }
 
 double MarginalEngine::expected_value() const {

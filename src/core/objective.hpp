@@ -26,13 +26,6 @@
 
 namespace haste::core {
 
-/// How the TabularGreedy schedulers (offline and the distributed nodes)
-/// evaluate candidate marginals.
-enum class TabularMode {
-  kRebuild,      ///< re-evaluate every policy from scratch (reference path)
-  kIncremental,  ///< per-(task, sample) dirty tracking with cached row terms
-};
-
 /// One scheduling policy of a partition: a dominant task set restricted to
 /// the tasks active in the partition's slot.
 struct Policy {
@@ -206,21 +199,18 @@ class MarginalEngine {
 
   /// Marginals of EVERY policy of `partition` for color `c` in one call:
   /// out[q] = marginal(partition.charger, partition.slot, policy q, c), bit
-  /// for bit. With the kernel path latched this hashes the color panel once,
-  /// prices the partition's deduplicated (task, delta) columns across all
-  /// matching samples in one panel sweep (the unit the rebuild loop actually
-  /// consumes), then gather-folds each policy's row segment in row order —
-  /// same per-policy accumulation order, same counter totals, a fraction of
-  /// the per-call overhead and of the arithmetic. Falls back to per-policy
-  /// marginal() calls when the kernel path is off or the partition carries
-  /// no column index (finalize() without a network).
-  void partition_marginals(const PolicyPartition& partition, int c, double* out) const;
-
-  /// As above with the partition's panel colors precomputed by the caller:
+  /// for bit. The caller passes the partition's panel colors:
   /// sample_colors[s] must equal panel_color(seed(), s, partition.charger,
-  /// partition.slot, colors()). The rebuild scheduler visits every partition
-  /// once per color stage, so hoisting the (pure) per-sample hashes out of
-  /// the visit loop removes a colors()-fold recompute.
+  /// partition.slot, colors()) — the offline scheduler visits every
+  /// partition once per color stage, so it hashes them once per run. With
+  /// the kernel path latched this prices the partition's deduplicated
+  /// (task, delta) columns across all matching samples in one panel sweep
+  /// (the unit the offline loop actually consumes), then gather-folds each
+  /// policy's row segment in row order — same per-policy accumulation order,
+  /// same counter totals, a fraction of the per-call overhead and of the
+  /// arithmetic. Falls back to per-policy marginal() calls when the kernel
+  /// path is off or the partition carries no column index (finalize()
+  /// without a network).
   void partition_marginals(const PolicyPartition& partition, int c,
                            std::span<const int> sample_colors, double* out) const;
 
@@ -236,10 +226,10 @@ class MarginalEngine {
 
   /// Commit without re-evaluating the realized gain. For callers that
   /// selected the policy on a certified-exact cached marginal (the
-  /// incremental schedulers): the gain commit() would recompute is bit for
-  /// bit the value they already hold, so only the energy accumulation and
-  /// the version bumps remain to be done. Identical state trajectory to
-  /// commit(), zero row_term work.
+  /// negotiation node's column cache): the gain commit() would recompute is
+  /// bit for bit the value they already hold, so only the energy
+  /// accumulation and the version bumps remain to be done. Identical state
+  /// trajectory to commit(), zero row_term work.
   void commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
                       std::span<const model::TaskIndex> tasks,
                       std::span<const double> slot_energy, int c);
@@ -268,8 +258,8 @@ class MarginalEngine {
   // pour energy into saturated tasks bump nothing: utility shapes are concave
   // and non-decreasing, so a task that is flat across one commit stays flat
   // for the rest of the run. The schedulers use this for zero-re-evaluation
-  // commits (global greedy), lazy partition refreshes (offline TabularGreedy),
-  // and cache reuse across remote commits (distributed nodes).
+  // commits (global greedy) and cache reuse across remote commits
+  // (distributed nodes).
 
   /// Number of sample-level utility changes of task `j` in sample `s`.
   std::uint64_t sample_version(int s, model::TaskIndex j) const {
@@ -283,10 +273,6 @@ class MarginalEngine {
   std::uint64_t task_version(model::TaskIndex j) const {
     return task_version_[static_cast<std::size_t>(j)];
   }
-
-  /// Sum of the version counters of `tasks`. Versions only grow, so an
-  /// unchanged sum certifies every individual version is unchanged.
-  std::uint64_t version_sum(std::span<const model::TaskIndex> tasks) const;
 
   /// Total number of energy-changing commits so far.
   std::uint64_t commit_count() const { return commit_count_; }

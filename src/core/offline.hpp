@@ -25,11 +25,6 @@ struct OfflineConfig {
   bool switch_avoiding_tiebreak = true;  ///< prefer keeping yesterday's angle on ties
   bool commit_zero_marginal = false;     ///< add argmax tuples even at zero gain
                                          ///< (pure TabularGreedy; causes useless switches)
-  /// kIncremental (default) keeps a per-(row, sample) term cache refreshed
-  /// lazily via the engine's per-(task, sample) version counters; kRebuild
-  /// re-evaluates every policy from scratch (the reference for differential
-  /// tests). Both produce bit-identical schedules.
-  TabularMode mode = TabularMode::kIncremental;
 };
 
 /// Result of the offline scheduler: the schedule plus the planner's internal
@@ -38,9 +33,8 @@ struct OfflineResult {
   model::Schedule schedule;
   double planned_relaxed_utility = 0.0;  ///< F(Q) estimate after the greedy
   /// Engine effort counters for the run (see MarginalEngine::Stats): the
-  /// per-(row, sample) utility-delta evaluations and the full oracle calls.
-  /// kIncremental only pays row evaluations (one per row at build time plus
-  /// the dirtied rows); kRebuild pays one oracle call per (policy, color).
+  /// per-(row, sample) utility-delta evaluations and the full oracle calls
+  /// (one per (policy, color)).
   std::uint64_t row_evaluations = 0;
   std::uint64_t marginal_evaluations = 0;
 };

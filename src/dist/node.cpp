@@ -12,9 +12,8 @@ constexpr double kTieSlack = 1e-12;
 }  // namespace
 
 ChargerNode::ChargerNode(const model::Network& net, model::ChargerIndex id,
-                         core::MarginalEngine::Config engine_config,
-                         core::TabularMode mode)
-    : net_(&net), id_(id), engine_config_(engine_config), mode_(mode) {
+                         core::MarginalEngine::Config engine_config)
+    : net_(&net), id_(id), engine_config_(engine_config) {
   previous_orientation_.assign(static_cast<std::size_t>(std::max(1, engine_config.colors)),
                                std::nullopt);
 }
@@ -55,67 +54,40 @@ Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks
   plan_col_task_.clear();
   plan_col_delta_.clear();
   plan_col_of_.assign(static_cast<std::size_t>(net_->task_count()), -1);
-  if (mode_ == core::TabularMode::kIncremental) {
-    for (std::size_t t = 0; t < hello.policy.tasks.size(); ++t) {
-      plan_col_of_[static_cast<std::size_t>(hello.policy.tasks[t])] =
-          static_cast<std::ptrdiff_t>(plan_col_task_.size());
-      plan_col_task_.push_back(hello.policy.tasks[t]);
-      plan_col_delta_.push_back(hello.policy.slot_energy[t]);
+  for (std::size_t t = 0; t < hello.policy.tasks.size(); ++t) {
+    plan_col_of_[static_cast<std::size_t>(hello.policy.tasks[t])] =
+        static_cast<std::ptrdiff_t>(plan_col_task_.size());
+    plan_col_task_.push_back(hello.policy.tasks[t]);
+    plan_col_delta_.push_back(hello.policy.slot_energy[t]);
+  }
+  const auto samples = static_cast<std::size_t>(engine_->samples());
+  plan_terms_.assign(plan_col_task_.size() * samples, 0.0);
+  plan_versions_.assign(plan_col_task_.size() * samples, 0);
+  if (term_cache_valid_.size() != static_cast<std::size_t>(net_->task_count())) {
+    term_cache_base_.assign(static_cast<std::size_t>(net_->task_count()), 0);
+    term_cache_term_.assign(static_cast<std::size_t>(net_->task_count()), 0.0);
+    term_cache_valid_.assign(static_cast<std::size_t>(net_->task_count()), 0);
+  }
+  for (std::size_t col = 0; col < plan_col_task_.size(); ++col) {
+    const auto j = static_cast<std::size_t>(plan_col_task_[col]);
+    // row_term(0, j, delta) on a fresh engine is a pure function of the
+    // task's harvested base energy (delta never changes for a column), so
+    // a bitwise-equal base since the previous plan reuses the cached term
+    // — the re-plan's dominant row_term cost when energies are settled.
+    const double base_energy = j < initial_energy.size() ? initial_energy[j] : 0.0;
+    const std::uint64_t base_bits = std::bit_cast<std::uint64_t>(base_energy);
+    double term;
+    if (term_cache_valid_[j] != 0 && term_cache_base_[j] == base_bits) {
+      term = term_cache_term_[j];
+    } else {
+      term = engine_->row_term(0, plan_col_task_[col], plan_col_delta_[col]);
+      term_cache_base_[j] = base_bits;
+      term_cache_term_[j] = term;
+      term_cache_valid_[j] = 1;
     }
-    const auto samples = static_cast<std::size_t>(engine_->samples());
-    plan_terms_.assign(plan_col_task_.size() * samples, 0.0);
-    plan_versions_.assign(plan_col_task_.size() * samples, 0);
-    if (term_cache_valid_.size() != static_cast<std::size_t>(net_->task_count())) {
-      term_cache_base_.assign(static_cast<std::size_t>(net_->task_count()), 0);
-      term_cache_term_.assign(static_cast<std::size_t>(net_->task_count()), 0.0);
-      term_cache_valid_.assign(static_cast<std::size_t>(net_->task_count()), 0);
-    }
-    for (std::size_t col = 0; col < plan_col_task_.size(); ++col) {
-      const auto j = static_cast<std::size_t>(plan_col_task_[col]);
-      // row_term(0, j, delta) on a fresh engine is a pure function of the
-      // task's harvested base energy (delta never changes for a column), so
-      // a bitwise-equal base since the previous plan reuses the cached term
-      // — the re-plan's dominant row_term cost when energies are settled.
-      const double base_energy = j < initial_energy.size() ? initial_energy[j] : 0.0;
-      const std::uint64_t base_bits = std::bit_cast<std::uint64_t>(base_energy);
-      double term;
-      if (term_cache_valid_[j] != 0 && term_cache_base_[j] == base_bits) {
-        term = term_cache_term_[j];
-      } else {
-        term = engine_->row_term(0, plan_col_task_[col], plan_col_delta_[col]);
-        term_cache_base_[j] = base_bits;
-        term_cache_term_[j] = term;
-        term_cache_valid_[j] = 1;
-      }
-      for (std::size_t s = 0; s < samples; ++s) plan_terms_[col * samples + s] = term;
-    }
+    for (std::size_t s = 0; s < samples; ++s) plan_terms_[col * samples + s] = term;
   }
   return hello;
-}
-
-void ChargerNode::prewarm_columns(const std::vector<model::TaskIndex>& tasks) {
-  if (mode_ != core::TabularMode::kIncremental) return;
-  const auto m = static_cast<std::size_t>(net_->task_count());
-  if (term_cache_valid_.size() != m) {
-    term_cache_base_.assign(m, 0);
-    term_cache_term_.assign(m, 0.0);
-    term_cache_valid_.assign(m, 0);
-  }
-  for (model::TaskIndex task : tasks) {
-    const auto j = static_cast<std::size_t>(task);
-    if (term_cache_valid_[j] != 0) continue;  // real entries stay authoritative
-    const double p = net_->potential_power(id_, task);
-    if (p <= 0.0) continue;  // not coverable: never becomes a plan column
-    const double delta = p * net_->time().slot_seconds;
-    // Matches row_term(0, task, delta) on a fresh engine with zero base:
-    // weighted_utility(delta) - weighted_utility(0), computed through the
-    // scalar objective (bit-identical to the kernel table by contract).
-    const double term = net_->weighted_task_utility(task, delta) -
-                        net_->weighted_task_utility(task, 0.0);
-    term_cache_base_[j] = std::bit_cast<std::uint64_t>(0.0);
-    term_cache_term_[j] = term;
-    term_cache_valid_[j] = 1;
-  }
 }
 
 bool ChargerNode::begin_stage(model::SlotIndex slot, int color) {
@@ -135,42 +107,40 @@ bool ChargerNode::begin_stage(model::SlotIndex slot, int color) {
   // with never-priced stamps (engine versions can be anything by now).
   stage_policy_col_.clear();
   stage_policy_row0_.assign(stage_policies_.size(), 0);
-  if (mode_ == core::TabularMode::kIncremental) {
-    const auto samples = static_cast<std::size_t>(engine_->samples());
-    for (std::size_t q = 0; q < stage_policies_.size(); ++q) {
-      stage_policy_row0_[q] = stage_policy_col_.size();
-      const core::Policy& policy = stage_policies_[q];
-      for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
-        const model::TaskIndex task = policy.tasks[t];
-        const double delta = policy.slot_energy[t];
-        std::ptrdiff_t col = plan_col_of_[static_cast<std::size_t>(task)];
-        if (col >= 0 && plan_col_delta_[static_cast<std::size_t>(col)] != delta) {
-          // Tardy rows carry a deadline-discounted slot_energy that deviates
-          // from the HELLO column's base delta; a column's cached terms are
-          // only reusable at the delta they were priced with, so mismatched
-          // rows get overflow columns keyed (task, delta). Linear scan: only
-          // tardy rows reach here, and each tardy (task, slot) pair
-          // contributes at most one distinct delta per plan.
-          col = -1;
-          for (std::size_t c = 0; c < plan_col_task_.size(); ++c) {
-            if (plan_col_task_[c] == task && plan_col_delta_[c] == delta) {
-              col = static_cast<std::ptrdiff_t>(c);
-              break;
-            }
+  const auto samples = static_cast<std::size_t>(engine_->samples());
+  for (std::size_t q = 0; q < stage_policies_.size(); ++q) {
+    stage_policy_row0_[q] = stage_policy_col_.size();
+    const core::Policy& policy = stage_policies_[q];
+    for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
+      const model::TaskIndex task = policy.tasks[t];
+      const double delta = policy.slot_energy[t];
+      std::ptrdiff_t col = plan_col_of_[static_cast<std::size_t>(task)];
+      if (col >= 0 && plan_col_delta_[static_cast<std::size_t>(col)] != delta) {
+        // Tardy rows carry a deadline-discounted slot_energy that deviates
+        // from the HELLO column's base delta; a column's cached terms are
+        // only reusable at the delta they were priced with, so mismatched
+        // rows get overflow columns keyed (task, delta). Linear scan: only
+        // tardy rows reach here, and each tardy (task, slot) pair
+        // contributes at most one distinct delta per plan.
+        col = -1;
+        for (std::size_t c = 0; c < plan_col_task_.size(); ++c) {
+          if (plan_col_task_[c] == task && plan_col_delta_[c] == delta) {
+            col = static_cast<std::ptrdiff_t>(c);
+            break;
           }
         }
-        if (col < 0) {
-          col = static_cast<std::ptrdiff_t>(plan_col_task_.size());
-          if (plan_col_of_[static_cast<std::size_t>(task)] < 0) {
-            plan_col_of_[static_cast<std::size_t>(task)] = col;
-          }
-          plan_col_task_.push_back(task);
-          plan_col_delta_.push_back(delta);
-          plan_terms_.resize(plan_terms_.size() + samples, 0.0);
-          plan_versions_.resize(plan_versions_.size() + samples, ~std::uint64_t{0});
-        }
-        stage_policy_col_.push_back(static_cast<std::size_t>(col));
       }
+      if (col < 0) {
+        col = static_cast<std::ptrdiff_t>(plan_col_task_.size());
+        if (plan_col_of_[static_cast<std::size_t>(task)] < 0) {
+          plan_col_of_[static_cast<std::size_t>(task)] = col;
+        }
+        plan_col_task_.push_back(task);
+        plan_col_delta_.push_back(delta);
+        plan_terms_.resize(plan_terms_.size() + samples, 0.0);
+        plan_versions_.resize(plan_versions_.size() + samples, ~std::uint64_t{0});
+      }
+      stage_policy_col_.push_back(static_cast<std::size_t>(col));
     }
   }
   neighbor_values_.clear();
@@ -217,40 +187,24 @@ void ChargerNode::recompute_best() {
   bool best_is_previous = false;
   for (std::size_t q = 0; q < stage_policies_.size(); ++q) {
     const core::Policy& policy = stage_policies_[q];
-    double m = 0.0;
-    if (mode_ == core::TabularMode::kIncremental) {
-      PolicyTermCache& cache = stage_cache_[q];
-      if (cache.valid) {
-        // Lazy partition maxima: energies only grow and utilities are
-        // concave, so the last refreshed marginal is an upper bound on the
-        // current one. A policy whose bound cannot trigger either acceptance
-        // branch below leaves the fold state untouched — skip it without
-        // touching its rows.
-        const double bound = cache.marginal;
-        const bool can_alter =
-            best_policy_ < 0
-                ? bound > 0.0
-                : bound >= best_marginal_ * (1.0 - kTieSlack) - kTieSlack;
-        if (!can_alter) continue;
-      }
-      // Re-sum the shared column chain, re-pricing only the columns whose
-      // (task, sample) version moved since they were last priced.
-      m = refresh_policy(q);
-      cache.marginal = m;
-      cache.valid = true;
-    } else {
-      // Reuse the cached marginal when none of the policy's tasks changed
-      // since it was computed (checking versions is O(|tasks|) counter reads;
-      // a re-evaluation is utility-function calls per panel sample).
-      PolicyTermCache& cache = stage_cache_[q];
-      const std::uint64_t stamp = engine_->version_sum(policy.tasks);
-      if (!cache.valid || cache.stamp != stamp) {
-        cache.marginal = engine_->marginal(id_, stage_slot_, policy, stage_color_);
-        cache.stamp = stamp;
-        cache.valid = true;
-      }
-      m = cache.marginal;
+    PolicyTermCache& cache = stage_cache_[q];
+    if (cache.valid) {
+      // Lazy partition maxima: energies only grow and utilities are
+      // concave, so the last refreshed marginal is an upper bound on the
+      // current one. A policy whose bound cannot trigger either acceptance
+      // branch below leaves the fold state untouched — skip it without
+      // touching its rows.
+      const double bound = cache.marginal;
+      const bool can_alter =
+          best_policy_ < 0 ? bound > 0.0
+                           : bound >= best_marginal_ * (1.0 - kTieSlack) - kTieSlack;
+      if (!can_alter) continue;
     }
+    // Re-sum the shared column chain, re-pricing only the columns whose
+    // (task, sample) version moved since they were last priced.
+    const double m = refresh_policy(q);
+    cache.marginal = m;
+    cache.valid = true;
     const bool is_previous = previous.has_value() && policy.orientation == *previous;
     bool better = false;
     if (best_policy_ < 0) {
@@ -358,15 +312,11 @@ std::optional<Message> ChargerNode::force_commit() {
 
 Message ChargerNode::commit_current() {
   const core::Policy& policy = stage_policies_[static_cast<std::size_t>(best_policy_)];
-  // Under kIncremental, best_marginal_ came from an exactly-refreshed cache
-  // (recompute_best runs after every engine change), so the realized gain is
-  // already known and commit can skip re-evaluating it.
-  if (mode_ == core::TabularMode::kIncremental) {
-    engine_->commit_no_gain(id_, stage_slot_, policy.tasks, policy.slot_energy,
-                            stage_color_);
-  } else {
-    engine_->commit(id_, stage_slot_, policy, stage_color_);
-  }
+  // best_marginal_ came from an exactly-refreshed cache (recompute_best runs
+  // after every engine change), so the realized gain is already known and
+  // commit can skip re-evaluating it.
+  engine_->commit_no_gain(id_, stage_slot_, policy.tasks, policy.slot_energy,
+                          stage_color_);
   auto& per_color = selections_[stage_slot_];
   per_color.resize(static_cast<std::size_t>(engine_->colors()));
   per_color[static_cast<std::size_t>(stage_color_)] = policy;

@@ -32,17 +32,15 @@ namespace haste::dist {
 /// One charger participating in the distributed negotiation.
 class ChargerNode {
  public:
-  /// `mode` picks how stage marginals are evaluated: kIncremental keeps a
-  /// term cache shared by all stage policies, keyed by (distinct stage task,
-  /// relevant sample) and refreshed lazily via the engine's per-(task,
-  /// sample) versions — plus per-policy upper bounds for lazy partition
-  /// maxima — so a re-negotiation after a remote UPDATE touches only the
-  /// dirtied columns of the policies still in contention; kRebuild keeps the
-  /// whole-policy marginal cache stamped with the aggregate version sum (the
-  /// reference path). The two are bit-identical.
+  /// Stage marginals are priced through a term cache shared by all stage
+  /// policies, keyed by (plan column, sample) and refreshed lazily via the
+  /// engine's per-(task, sample) versions — plus per-policy upper bounds for
+  /// lazy partition maxima — so a re-negotiation after a remote UPDATE
+  /// touches only the dirtied columns of the policies still in contention.
+  /// Every announced marginal is bit-identical to the engine's from-scratch
+  /// MarginalEngine::marginal of the same policy.
   ChargerNode(const model::Network& net, model::ChargerIndex id,
-              core::MarginalEngine::Config engine_config,
-              core::TabularMode mode = core::TabularMode::kIncremental);
+              core::MarginalEngine::Config engine_config);
 
   model::ChargerIndex id() const { return id_; }
 
@@ -87,19 +85,6 @@ class ChargerNode {
   /// The planner's local expected utility estimate (diagnostics).
   double local_expected_value() const;
 
-  /// Speculative pre-provisioning (predictive scheduling): prices the
-  /// initial plan-column term of each coverable task in `tasks` at the
-  /// zero-harvest base and deposits it into the cross-plan term cache, so a
-  /// later begin_plan over those tasks hits the cache instead of paying a
-  /// cold row_term. Entries already priced are never overwritten (they are
-  /// exact for their own base), and a speculative entry is consulted only
-  /// when the task's actual base energy is bitwise 0.0 — a wrong guess
-  /// costs nothing but the speculation. Terms are computed through the
-  /// network objective, which is bit-identical to the engine's row_term by
-  /// the UtilityTable contract, so hits never change schedule bits — only
-  /// row_eval counts. No-op under kRebuild (no term cache).
-  void prewarm_columns(const std::vector<model::TaskIndex>& tasks);
-
   /// Evaluation counters of the current plan's engine (zeroed at every
   /// begin_plan, since the engine is rebuilt per plan); all-zero before the
   /// first plan. Lets the online driver charge row_term work to re-plans.
@@ -109,18 +94,16 @@ class ChargerNode {
 
  private:
   void recompute_best();
-  double refresh_policy(std::size_t q);  ///< lazily refreshed marginal (kIncremental)
+  double refresh_policy(std::size_t q);  ///< lazily refreshed marginal
   Message commit_current();  ///< commits best_policy_ and builds the UPDATE
   bool neighbor_participates(model::ChargerIndex j, model::SlotIndex slot) const;
 
   const model::Network* net_;
   model::ChargerIndex id_;
   core::MarginalEngine::Config engine_config_;
-  core::TabularMode mode_;
 
   std::vector<core::DominantTaskSet> dominant_;
   std::optional<core::MarginalEngine> engine_;
-  model::SlotIndex plan_first_slot_ = 0;
 
   // What each neighbor announced in its HELLO: coverable known tasks.
   std::map<model::ChargerIndex, std::vector<model::TaskIndex>> neighbor_tasks_;
@@ -133,20 +116,15 @@ class ChargerNode {
   // the only samples a stage marginal depends on (ascending, so lazy
   // refreshes re-sum in the engine's evaluation order).
   std::vector<int> stage_samples_;
-  // Per stage policy: the last exactly-computed marginal. Under kRebuild the
-  // value is stamped with the engine's task-version sum at evaluation time
-  // (versions only grow and a marginal depends on the engine state only
-  // through those tasks' energies, so an unchanged stamp certifies the
-  // cached value is exact). Under kIncremental the value doubles as an upper
-  // bound for lazy partition maxima (marginals only shrink), and the actual
-  // pricing lives in the shared stage columns below.
+  // Per stage policy: the last exactly-computed marginal. It doubles as an
+  // upper bound for lazy partition maxima (marginals only shrink); the
+  // actual pricing lives in the shared plan columns below.
   struct PolicyTermCache {
     double marginal = 0.0;
-    std::uint64_t stamp = 0;
     bool valid = false;
   };
   std::vector<PolicyTermCache> stage_cache_;
-  // kIncremental pricing, shared across policies AND stages of one plan: the
+  // Column pricing, shared across policies AND stages of one plan: the
   // per-slot energy a task would receive is orientation- and
   // slot-independent, so every policy of every stage covering task j prices
   // the same utility-delta term. Terms are keyed by (distinct coverable
@@ -154,7 +132,9 @@ class ChargerNode {
   // sample) version; a term priced in one stage stays fresh for later stages
   // until a commit actually moves that task's utility in that sample, and a
   // remote UPDATE re-prices only the columns it dirtied, once, for all
-  // policies at once.
+  // policies at once. Tardy rows, whose deadline-discounted slot_energy
+  // deviates from the column's base delta, get overflow columns keyed
+  // (task, delta).
   std::vector<model::TaskIndex> plan_col_task_;  // distinct coverable tasks
   std::vector<double> plan_col_delta_;           // shared per-slot energy per column
   std::vector<std::ptrdiff_t> plan_col_of_;      // [task] -> column, or -1

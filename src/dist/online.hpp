@@ -48,10 +48,6 @@ struct OnlineConfig {
   int samples = 16;        ///< color panel size (kHaste only)
   std::uint64_t seed = 1;  ///< shared seed (color panel + final sampling)
   std::vector<ChargerFailure> failures;  ///< failure injection (may be empty)
-  /// How nodes evaluate stage marginals (kHaste/kHasteSequential only):
-  /// kIncremental (default) reuses per-(row, sample) terms across remote
-  /// commits; kRebuild is the reference path. Bit-identical results.
-  core::TabularMode mode = core::TabularMode::kIncremental;
   /// Keep each charger's ChargerNode alive across re-plans
   /// (kHaste/kHasteSequential only) so its plan-level column store and
   /// dominant-set extraction carry over between negotiations: columns whose
@@ -61,8 +57,7 @@ struct OnlineConfig {
   /// reference path, `false`) — asserted by the differential tests.
   bool reuse_nodes = true;
   /// Predictive cadence control (src/predict/): learn per-region arrival
-  /// rates online, defer re-plans while predictions hold, and speculatively
-  /// pre-provision plan columns for predicted-hot regions. Disabled by
+  /// rates online and defer re-plans while predictions hold. Disabled by
   /// default — the reactive path is bit-identical to a predictor-free
   /// build, pinned by the online_predict_differential suite.
   predict::PredictorConfig predictor;
@@ -150,9 +145,6 @@ class OnlineSession {
   const NegotiationRecord* replan(model::SlotIndex event_slot, ReplanTrigger trigger);
   void check_event(model::SlotIndex slot) const;
   void flush_pending();  ///< folds the deferred arrivals into known_
-  /// Speculatively prices plan columns on the persistent fleet for the
-  /// deferred batch plus every unknown task in a predicted-hot cell.
-  void prewarm(const std::vector<model::TaskIndex>& batch);
 
   const model::Network& net_;
   OnlineConfig config_;

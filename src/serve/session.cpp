@@ -50,16 +50,6 @@ dist::OnlineStrategy parse_strategy(const std::string& name) {
   throw util::JsonError("unknown online strategy: " + name);
 }
 
-const char* tabular_mode_name(core::TabularMode mode) {
-  return mode == core::TabularMode::kRebuild ? "rebuild" : "incremental";
-}
-
-core::TabularMode parse_tabular_mode(const std::string& name) {
-  if (name == "incremental") return core::TabularMode::kIncremental;
-  if (name == "rebuild") return core::TabularMode::kRebuild;
-  throw util::JsonError("unknown tabular mode: " + name);
-}
-
 // The session lifecycle counters are the daemon's operational surface, so
 // like the online.replan span they bypass the HASTE_OBS gate and exist even
 // in -DHASTE_OBS=OFF builds (the per-request counters in server.cpp stay
@@ -115,7 +105,6 @@ Json online_config_to_json(const dist::OnlineConfig& config) {
   json.set("colors", config.colors);
   json.set("samples", config.samples);
   json.set("seed", u64_json(config.seed));
-  json.set("mode", tabular_mode_name(config.mode));
   json.set("reuse_nodes", config.reuse_nodes);
   Json predictor = Json::object();
   predictor.set("enabled", config.predictor.enabled);
@@ -128,7 +117,6 @@ Json online_config_to_json(const dist::OnlineConfig& config) {
   predictor.set("batch_slots", config.predictor.batch_slots);
   predictor.set("batch_tasks", config.predictor.batch_tasks);
   predictor.set("shortfall_factor", config.predictor.shortfall_factor);
-  predictor.set("prewarm", config.predictor.prewarm);
   json.set("predictor", std::move(predictor));
   return json;
 }
@@ -139,7 +127,6 @@ dist::OnlineConfig online_config_from_json(const Json& json) {
   config.colors = static_cast<int>(json.number_or("colors", config.colors));
   config.samples = static_cast<int>(json.number_or("samples", config.samples));
   if (json.contains("seed")) config.seed = u64_from(json.at("seed"));
-  config.mode = parse_tabular_mode(json.string_or("mode", "incremental"));
   config.reuse_nodes = json.bool_or("reuse_nodes", config.reuse_nodes);
   if (json.contains("predictor")) {
     const Json& predictor = json.at("predictor");
@@ -154,7 +141,6 @@ dist::OnlineConfig online_config_from_json(const Json& json) {
     p.batch_slots = static_cast<int>(predictor.number_or("batch_slots", p.batch_slots));
     p.batch_tasks = static_cast<int>(predictor.number_or("batch_tasks", p.batch_tasks));
     p.shortfall_factor = predictor.number_or("shortfall_factor", p.shortfall_factor);
-    p.prewarm = predictor.bool_or("prewarm", p.prewarm);
   }
   return config;
 }

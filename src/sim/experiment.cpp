@@ -67,9 +67,7 @@ RunMetrics run_algorithm(const model::Network& net, Algorithm algorithm,
   switch (algorithm) {
     case Algorithm::kOfflineHaste: {
       const core::OfflineResult result = core::schedule_offline(
-          net, core::OfflineConfig{params.colors, params.samples, params.seed,
-                                   /*switch_avoiding_tiebreak=*/true,
-                                   /*commit_zero_marginal=*/false, params.mode});
+          net, core::OfflineConfig{params.colors, params.samples, params.seed});
       return from_evaluation(net, core::evaluate_schedule(net, result.schedule));
     }
     case Algorithm::kOfflineGreedyUtility:
@@ -112,7 +110,6 @@ RunMetrics run_algorithm(const model::Network& net, Algorithm algorithm,
       config.colors = params.colors;
       config.samples = params.samples;
       config.seed = params.seed;
-      config.mode = params.mode;
       switch (algorithm) {
         case Algorithm::kOnlineHaste:
           config.strategy = dist::OnlineStrategy::kHaste;

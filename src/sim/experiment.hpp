@@ -39,9 +39,6 @@ struct AlgoParams {
   int samples = 16;
   std::uint64_t seed = 1;
   std::uint64_t brute_force_budget = 5'000'000;  ///< kOfflineOptimalRelaxed only
-  /// Marginal-evaluation mode of the TabularGreedy paths (offline + online
-  /// HASTE variants); bit-identical results either way.
-  core::TabularMode mode = core::TabularMode::kIncremental;
 };
 
 /// Metrics of one run.

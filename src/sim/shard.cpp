@@ -59,16 +59,6 @@ ArrivalProcess parse_arrivals(const std::string& name) {
   throw util::JsonError("unknown arrival process: " + name);
 }
 
-const char* tabular_mode_name(core::TabularMode mode) {
-  return mode == core::TabularMode::kRebuild ? "rebuild" : "incremental";
-}
-
-core::TabularMode parse_tabular_mode(const std::string& name) {
-  if (name == "incremental") return core::TabularMode::kIncremental;
-  if (name == "rebuild") return core::TabularMode::kRebuild;
-  throw util::JsonError("unknown tabular mode: " + name);
-}
-
 }  // namespace
 
 Json metrics_to_json(const RunMetrics& metrics) {
@@ -190,7 +180,6 @@ Json variant_to_json(const Variant& variant) {
   params.set("samples", variant.params.samples);
   params.set("seed", u64_json(variant.params.seed));
   params.set("brute_force_budget", u64_json(variant.params.brute_force_budget));
-  params.set("mode", tabular_mode_name(variant.params.mode));
   json.set("params", std::move(params));
   return json;
 }
@@ -204,7 +193,6 @@ Variant variant_from_json(const Json& json) {
   variant.params.samples = static_cast<int>(params.at("samples").as_int());
   variant.params.seed = u64_from(params.at("seed"));
   variant.params.brute_force_budget = u64_from(params.at("brute_force_budget"));
-  variant.params.mode = parse_tabular_mode(params.at("mode").as_string());
   return variant;
 }
 

@@ -1,8 +1,9 @@
 // Tiny command-line flag parser shared by benches and examples.
 //
 // Supported syntax: `--name=value`, `--name value`, and boolean `--name`.
-// Unknown flags are collected and reported so every binary can print a
-// helpful error instead of silently ignoring typos.
+// names() lists every flag seen, so a binary can reject the ones it does not
+// read with a helpful error instead of silently ignoring typos (haste_cli
+// does).
 #pragma once
 
 #include <cstdint>
@@ -43,7 +44,8 @@ class Flags {
   /// Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// All flag names seen, for --help style listings.
+  /// All flag names seen (sorted), for unknown-flag checks and --help style
+  /// listings.
   std::vector<std::string> names() const;
 
  private:

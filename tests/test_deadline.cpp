@@ -2,8 +2,9 @@
 //
 // Differentials: the greedy schedulers against the exact branch-and-bound
 // optimum on deadline instances (the 1/2 guarantee must survive the plug-in
-// objective), kRebuild vs kIncremental, kernels on vs off, and online mode /
-// node-reuse sweeps — all bit-identical contracts.
+// objective), the deduplicated (task, delta) partition columns vs per-policy
+// rows, kernels on vs off, and online node-reuse sweeps — all bit-identical
+// contracts.
 //
 // Properties: tardiness decay monotone non-increasing, beta -> infinity
 // reproduces the base objective bit for bit, hard mode never emits a row for
@@ -106,6 +107,12 @@ TEST_P(DeadlineSweep, GreedyKeepsHalfGuaranteeAgainstBruteForce) {
   }
 }
 
+// Tardy rows carry discounted energies, which the partition's deduplicated
+// (task, delta) column index must price exactly. The offline scheduler
+// priced through that index must match the same partitions finalized
+// without it, which price every policy's rows one marginal() call at a time.
+// (The name predates the removal of the offline scheduler's
+// incremental/rebuild mode switch.)
 TEST_P(DeadlineSweep, RebuildAndIncrementalBitIdentical) {
   util::Rng rng(GetParam() * 7 + 1);
   const model::Network base = make_base(rng);
@@ -114,12 +121,17 @@ TEST_P(DeadlineSweep, RebuildAndIncrementalBitIdentical) {
     core::OfflineConfig config;
     config.colors = 2;
     config.samples = 4;
-    config.mode = core::TabularMode::kRebuild;
-    const core::OfflineResult rebuild = core::schedule_offline(net, config);
-    config.mode = core::TabularMode::kIncremental;
-    const core::OfflineResult incremental = core::schedule_offline(net, config);
-    expect_equal_schedules(rebuild.schedule, incremental.schedule);
-    EXPECT_EQ(rebuild.planned_relaxed_utility, incremental.planned_relaxed_utility);
+    const std::vector<core::PolicyPartition> columns = core::build_partitions(net);
+    std::vector<core::PolicyPartition> rows = columns;
+    for (core::PolicyPartition& partition : rows) {
+      partition.finalize();  // CSR rows only: no column index
+      ASSERT_FALSE(partition.has_column_index());
+    }
+    const core::OfflineResult by_column =
+        core::schedule_offline_over(net, columns, config, {});
+    const core::OfflineResult by_row = core::schedule_offline_over(net, rows, config, {});
+    expect_equal_schedules(by_row.schedule, by_column.schedule);
+    EXPECT_EQ(by_row.planned_relaxed_utility, by_column.planned_relaxed_utility);
   }
 }
 
@@ -162,10 +174,8 @@ TEST_P(DeadlineSweep, OnlineModeAndReuseBitIdentical) {
   dist::OnlineConfig config;
   config.colors = 2;
   config.samples = 4;
-  config.mode = core::TabularMode::kRebuild;
   config.reuse_nodes = false;
   const dist::OnlineResult reference = dist::run_online(net, config);
-  config.mode = core::TabularMode::kIncremental;
   config.reuse_nodes = true;
   const dist::OnlineResult warm = dist::run_online(net, config);
 

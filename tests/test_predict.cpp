@@ -3,16 +3,15 @@
 // Differentials: the predictor-off online driver against itself across
 // kernels on/off and reuse_nodes on/off (the reactive path must stay
 // bit-identical to a predictor-free build), the enabled-but-leashed
-// degenerate case (max_level = 0, prewarm off) against predictor-off on the
-// FULL result — schedule bits, utility doubles, and every NegotiationRecord
-// counter including row_evals — and a serve::Session replay against the
-// local OnlineSession under a predictor-enabled config.
+// degenerate case (max_level = 0) against predictor-off on the FULL result —
+// schedule bits, utility doubles, and every NegotiationRecord counter
+// including row_evals — and a serve::Session replay against the local
+// OnlineSession under a predictor-enabled config.
 //
 // Properties: arrival-model rate learning and geometric decay, the
 // confidence gate on hot cells, cadence escalation / surprise reset /
-// pressure release, prewarming preserving schedule bits while only ever
-// saving row evaluations, the generator's burst/hotspot knobs leaving the
-// base geometry untouched pass by pass, and the effectiveness contract on
+// pressure release, the generator's burst/hotspot knobs leaving the base
+// geometry untouched pass by pass, and the effectiveness contract on
 // bursty traffic (>= 30% fewer negotiations at <= 2% mean utility loss).
 #include <gtest/gtest.h>
 
@@ -331,11 +330,9 @@ TEST(OnlinePredict, DisabledPredictorBitIdenticalAcrossKernelsAndReuse) {
 
 TEST(OnlinePredict, LevelZeroNoPrewarmIsFullPassThrough) {
   // The enabled-but-leashed degenerate case: max_level = 0 keeps every
-  // cadence decision at kReplanNow and prewarm = false keeps the column
-  // store cold, so the ONLY difference from predictor-off is that the model
-  // watches the arrivals. The full result — including per-negotiation
-  // row_evals — must be bit-identical. (prewarm must be off here: warming
-  // changes row-evaluation counts even though it never changes the bits.)
+  // cadence decision at kReplanNow, so the ONLY difference from
+  // predictor-off is that the model watches the arrivals. The full result —
+  // including per-negotiation row_evals — must be bit-identical.
   const model::Network net = bursty_network(small_bursty_config(), 22);
   dist::OnlineConfig reactive;
   reactive.colors = 2;
@@ -344,7 +341,6 @@ TEST(OnlinePredict, LevelZeroNoPrewarmIsFullPassThrough) {
 
   dist::OnlineConfig leashed = reactive;
   leashed.predictor = tuned_predictor(0);
-  leashed.predictor.prewarm = false;
 
   const dist::OnlineResult a = dist::run_online(net, reactive);
   const dist::OnlineResult b = dist::run_online(net, leashed);
@@ -353,33 +349,6 @@ TEST(OnlinePredict, LevelZeroNoPrewarmIsFullPassThrough) {
   EXPECT_EQ(b.predictor.hits + b.predictor.misses,
             static_cast<std::uint64_t>(net.task_count()));
   EXPECT_EQ(b.predictor.replans_skipped, 0u);
-}
-
-TEST(OnlinePredict, PrewarmKeepsScheduleBitsAndOnlySavesRowEvals) {
-  // Speculative pre-provisioning may only change HOW marginals are obtained
-  // (cache hit vs engine evaluation), never their values: schedule bits,
-  // utilities, and the whole message ledger must match, and the engine
-  // row-evaluation count can only go down.
-  const model::Network net = bursty_network(small_bursty_config(), 23);
-  dist::OnlineConfig base;
-  base.colors = 2;
-  base.samples = 4;
-  base.predictor = tuned_predictor(3);
-  base.predictor.prewarm = false;
-
-  dist::OnlineConfig warmed = base;
-  warmed.predictor.prewarm = true;
-
-  const dist::OnlineResult cold = dist::run_online(net, base);
-  const dist::OnlineResult warm = dist::run_online(net, warmed);
-  expect_equal_schedules(cold.schedule, warm.schedule);
-  EXPECT_EQ(cold.evaluation.weighted_utility, warm.evaluation.weighted_utility);
-  EXPECT_EQ(cold.messages, warm.messages);
-  EXPECT_EQ(cold.deliveries, warm.deliveries);
-  EXPECT_EQ(cold.rounds, warm.rounds);
-  EXPECT_EQ(cold.negotiations, warm.negotiations);
-  EXPECT_EQ(cold.replans_skipped, warm.replans_skipped);
-  EXPECT_LE(warm.row_evaluations, cold.row_evaluations);
 }
 
 TEST(OnlinePredict, BurstyTrafficCutsNegotiationsWithinUtilityBudget) {
@@ -438,7 +407,6 @@ TEST(ServePredict, ConfigJsonRoundTripsEveryPredictorKnob) {
   config.predictor.batch_slots = 6;
   config.predictor.batch_tasks = 12;
   config.predictor.shortfall_factor = 0.375;
-  config.predictor.prewarm = false;
 
   const dist::OnlineConfig back =
       serve::online_config_from_json(serve::online_config_to_json(config));
@@ -452,7 +420,6 @@ TEST(ServePredict, ConfigJsonRoundTripsEveryPredictorKnob) {
   EXPECT_EQ(back.predictor.batch_slots, config.predictor.batch_slots);
   EXPECT_EQ(back.predictor.batch_tasks, config.predictor.batch_tasks);
   EXPECT_EQ(back.predictor.shortfall_factor, config.predictor.shortfall_factor);
-  EXPECT_EQ(back.predictor.prewarm, config.predictor.prewarm);
 }
 
 /// Drives one serve::Session through an event replay (no sockets — the

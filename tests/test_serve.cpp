@@ -494,7 +494,6 @@ TEST(ServeConfig, OnlineConfigJsonRoundTripsExactly) {
   config.colors = 3;
   config.samples = 9;
   config.seed = 0xFFFFFFFFFFFFFFFFULL;  // above 2^53: must survive as a string
-  config.mode = core::TabularMode::kRebuild;
   config.reuse_nodes = false;
 
   const dist::OnlineConfig round = online_config_from_json(online_config_to_json(config));
@@ -502,7 +501,6 @@ TEST(ServeConfig, OnlineConfigJsonRoundTripsExactly) {
   EXPECT_EQ(round.colors, config.colors);
   EXPECT_EQ(round.samples, config.samples);
   EXPECT_EQ(round.seed, config.seed);
-  EXPECT_EQ(round.mode, config.mode);
   EXPECT_EQ(round.reuse_nodes, config.reuse_nodes);
 
   EXPECT_THROW(online_config_from_json(Json::parse(R"({"strategy":"nope"})")),

@@ -262,8 +262,6 @@ Variant random_variant(Rng& rng) {
   variant.params.samples = static_cast<int>(rng.uniform_index(64)) + 1;
   variant.params.seed = pick_u64(rng);
   variant.params.brute_force_budget = pick_u64(rng);
-  variant.params.mode = rng.uniform() < 0.5 ? core::TabularMode::kIncremental
-                                            : core::TabularMode::kRebuild;
   return variant;
 }
 
@@ -298,7 +296,6 @@ TEST(ShardWireFuzz, ShardSpecRoundTripIsBitExact) {
       EXPECT_EQ(back.variants[v].params.seed, spec.variants[v].params.seed);
       EXPECT_EQ(back.variants[v].params.brute_force_budget,
                 spec.variants[v].params.brute_force_budget);
-      EXPECT_EQ(back.variants[v].params.mode, spec.variants[v].params.mode);
     }
     EXPECT_SAME_BITS(back.config.field_width, spec.config.field_width);
     EXPECT_EQ(back.config.utility_shape, spec.config.utility_shape);

@@ -1,14 +1,25 @@
-// Differential tests for the TabularGreedy evaluation modes: the incremental
-// per-(task, sample) dirty-tracking path must be bit-identical to the rebuild
-// (from-scratch) reference — same schedules, same planned utilities — across
-// panel shapes, tie-break settings, warm starts, and the online negotiation.
+// Differential tests for the TabularGreedy evaluation paths. Each scheduler
+// has one production path, checked here against its test oracle:
+//   - offline (Algorithm 2): the batched kernel path of partition_marginals
+//     against the scalar per-policy marginal() loop it falls back to with
+//     the kernels off — same schedules, same planned utilities, same effort
+//     counters — across panel shapes, tie-break settings and warm starts;
+//   - the online negotiation: the nodes' column-cached pricing with the
+//     kernel table and persistent nodes against the scalar engine with a
+//     fresh fleet per re-plan.
+// The suite and test names predate the removal of the per-scheduler
+// incremental/rebuild mode switch and are kept so results stay comparable
+// across history. The suite toggles the kernels itself, so it runs the same
+// under any HASTE_KERNELS setting.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/offline.hpp"
 #include "dist/online.hpp"
 #include "test_helpers.hpp"
+#include "util/simd.hpp"
 
 namespace haste {
 namespace {
@@ -26,57 +37,68 @@ void expect_identical_schedules(const model::Schedule& a, const model::Schedule&
   }
 }
 
-core::OfflineConfig offline_config(int colors, int samples, std::uint64_t seed,
-                                   bool tiebreak, core::TabularMode mode) {
-  core::OfflineConfig config;
-  config.colors = colors;
-  config.samples = samples;
-  config.seed = seed;
-  config.switch_avoiding_tiebreak = tiebreak;
-  config.mode = mode;
-  return config;
+void expect_identical_results(const core::OfflineResult& scalar,
+                              const core::OfflineResult& kernel) {
+  EXPECT_EQ(scalar.planned_relaxed_utility, kernel.planned_relaxed_utility);
+  EXPECT_EQ(scalar.row_evaluations, kernel.row_evaluations);
+  EXPECT_EQ(scalar.marginal_evaluations, kernel.marginal_evaluations);
+  expect_identical_schedules(scalar.schedule, kernel.schedule);
+}
+
+/// Runs `solve` once with the kernel path off (the scalar oracle) and once
+/// with it on.
+template <typename Solve>
+std::pair<core::OfflineResult, core::OfflineResult> scalar_and_kernel(Solve solve) {
+  core::OfflineResult scalar;
+  {
+    util::ScopedKernelToggle off(false);
+    scalar = solve();
+  }
+  util::ScopedKernelToggle on(true);
+  return {std::move(scalar), solve()};
 }
 
 class TabularModeDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
-// The core property: for every panel shape and either tie-break setting, both
-// modes walk the exact same greedy trajectory.
+// The core property: for every panel shape and either tie-break setting, the
+// batched kernel path walks the exact same greedy trajectory as the scalar
+// per-policy loop.
 TEST_P(TabularModeDifferential, OfflineIncrementalMatchesRebuild) {
+  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
   util::Rng rng(GetParam());
   const model::Network net = random_network(rng, 6, 14, 4);
   for (const int colors : {1, 2, 4, 8}) {
     for (const int samples : {1, 16}) {
       for (const bool tiebreak : {false, true}) {
-        const core::OfflineResult rebuild = core::schedule_offline(
-            net, offline_config(colors, samples, GetParam(), tiebreak,
-                                core::TabularMode::kRebuild));
-        const core::OfflineResult incremental = core::schedule_offline(
-            net, offline_config(colors, samples, GetParam(), tiebreak,
-                                core::TabularMode::kIncremental));
-        EXPECT_EQ(rebuild.planned_relaxed_utility, incremental.planned_relaxed_utility)
-            << "C=" << colors << " S=" << samples << " tiebreak=" << tiebreak;
-        expect_identical_schedules(rebuild.schedule, incremental.schedule);
+        SCOPED_TRACE(::testing::Message()
+                     << "C=" << colors << " S=" << samples << " tiebreak=" << tiebreak);
+        core::OfflineConfig config;
+        config.colors = colors;
+        config.samples = samples;
+        config.seed = GetParam();
+        config.switch_avoiding_tiebreak = tiebreak;
+        const auto [scalar, kernel] =
+            scalar_and_kernel([&] { return core::schedule_offline(net, config); });
+        expect_identical_results(scalar, kernel);
       }
     }
   }
 }
 
-// Warm starts (online re-planning) exercise the nonzero-initial-energy path
-// of the cache build.
+// Warm starts (online re-planning) price every column on top of nonzero
+// initial energies.
 TEST_P(TabularModeDifferential, OfflineWithInitialEnergyMatches) {
+  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
   util::Rng rng(GetParam() + 1000);
   const model::Network net = random_network(rng, 5, 12, 4);
   const auto partitions = core::build_partitions(net);
   std::vector<double> initial(static_cast<std::size_t>(net.task_count()));
   for (double& e : initial) e = rng.uniform(0.0, 2000.0);
-  const core::OfflineResult rebuild = core::schedule_offline_over(
-      net, partitions,
-      offline_config(4, 16, GetParam(), true, core::TabularMode::kRebuild), initial);
-  const core::OfflineResult incremental = core::schedule_offline_over(
-      net, partitions,
-      offline_config(4, 16, GetParam(), true, core::TabularMode::kIncremental), initial);
-  EXPECT_EQ(rebuild.planned_relaxed_utility, incremental.planned_relaxed_utility);
-  expect_identical_schedules(rebuild.schedule, incremental.schedule);
+  core::OfflineConfig config;
+  config.seed = GetParam();
+  const auto [scalar, kernel] = scalar_and_kernel(
+      [&] { return core::schedule_offline_over(net, partitions, config, initial); });
+  expect_identical_results(scalar, kernel);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TabularModeDifferential,
@@ -84,24 +106,30 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TabularModeDifferential,
 
 class OnlineModeDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
-// The distributed negotiation (elections and the sequential token protocol)
-// must also be mode-agnostic: remote UPDATEs dirty exactly the rows whose
-// utilities moved, so re-negotiation reproduces the rebuild marginals.
+// The distributed negotiation (elections and the sequential token protocol):
+// remote UPDATEs dirty exactly the plan columns whose utilities moved, so the
+// column-cached nodes on the kernel table with persistent caches reproduce a
+// fresh scalar fleet's marginals, elections and messages.
 TEST_P(OnlineModeDifferential, NegotiationIncrementalMatchesRebuild) {
   util::Rng rng(GetParam());
   const model::Network net = random_network(rng, 5, 12, 4);
   for (const dist::OnlineStrategy strategy :
        {dist::OnlineStrategy::kHaste, dist::OnlineStrategy::kHasteSequential}) {
-    dist::OnlineConfig rebuild;
-    rebuild.strategy = strategy;
-    rebuild.colors = 2;
-    rebuild.samples = 8;
-    rebuild.seed = GetParam();
-    rebuild.mode = core::TabularMode::kRebuild;
-    dist::OnlineConfig incremental = rebuild;
-    incremental.mode = core::TabularMode::kIncremental;
-    const dist::OnlineResult a = dist::run_online(net, rebuild);
-    const dist::OnlineResult b = dist::run_online(net, incremental);
+    dist::OnlineConfig reference;
+    reference.strategy = strategy;
+    reference.colors = 2;
+    reference.samples = 8;
+    reference.seed = GetParam();
+    reference.reuse_nodes = false;
+    dist::OnlineConfig production = reference;
+    production.reuse_nodes = true;
+    dist::OnlineResult a;
+    {
+      util::ScopedKernelToggle off(false);
+      a = dist::run_online(net, reference);
+    }
+    util::ScopedKernelToggle on(true);
+    const dist::OnlineResult b = dist::run_online(net, production);
     EXPECT_EQ(a.evaluation.weighted_utility, b.evaluation.weighted_utility);
     EXPECT_EQ(a.messages, b.messages);
     EXPECT_EQ(a.rounds, b.rounds);
@@ -111,23 +139,6 @@ TEST_P(OnlineModeDifferential, NegotiationIncrementalMatchesRebuild) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OnlineModeDifferential,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
-
-// The point of the incremental mode: at the paper's C=4 / S=16 panel the
-// replicated initial build plus dirty-row refreshes evaluate far fewer
-// per-(row, sample) terms than re-deriving every marginal from scratch.
-TEST(TabularModeSavings, IncrementalHalvesRowEvaluationsAtPaperPanel) {
-  util::Rng rng(7);
-  const model::Network net = random_network(rng, 12, 48, 4);
-  const core::OfflineResult rebuild = core::schedule_offline(
-      net, offline_config(4, 16, 1, true, core::TabularMode::kRebuild));
-  const core::OfflineResult incremental = core::schedule_offline(
-      net, offline_config(4, 16, 1, true, core::TabularMode::kIncremental));
-  expect_identical_schedules(rebuild.schedule, incremental.schedule);
-  EXPECT_GT(rebuild.row_evaluations, 0u);
-  EXPECT_LE(incremental.row_evaluations * 2, rebuild.row_evaluations);
-  // The incremental sweep never calls the full oracle outside commits.
-  EXPECT_LT(incremental.marginal_evaluations, rebuild.marginal_evaluations);
-}
 
 }  // namespace
 }  // namespace haste

@@ -10,17 +10,16 @@
 //       Validates the invariants a committed BENCH_micro.json must satisfy:
 //       the harness was a release build (context "haste_build_type"; a file
 //       without the stamp predates it and was never validated — re-capture),
-//       every BM_OfflineTabular entry reproduced the rebuild schedule, every
+//       every BM_OfflineTabular entry reproduced the scalar schedule, every
 //       non-eager BM_GlobalGreedyMode entry reproduced the lazy schedule
 //       (eager re-scores all policies each step and may legitimately pick a
 //       different member of a floating-point-tied maximum, so only the
-//       lazy/incremental pair carries a bit-identity contract), at every
-//       swept scale the incremental TabularGreedy spent at most half the row
-//       evaluations of the rebuild path, and at the largest swept scale the
-//       kernel path (kernels:1) ran BM_OfflineTabular at least twice as fast
-//       as the scalar path (kernels:0) in rebuild mode while not regressing
-//       the (already memoized, bookkeeping-bound) incremental mode by more
-//       than 10%.
+//       lazy/incremental pair carries a bit-identity contract), the kernel
+//       path (kernels:1) ran BM_OfflineTabular faster than the scalar path
+//       (kernels:0) at every swept n >= 25 and at least 1.8x as fast at the
+//       largest swept scale, the inert-deadline twins (dl:1) cost at most 5%
+//       over their deadline-free rows, and the predictor rows hold their
+//       negotiation and utility pins.
 //
 // Wired as ctest cases (see tools/CMakeLists.txt) so tier-1 runs both the
 // self-diff and the --check of the committed baseline.
@@ -74,7 +73,7 @@ std::map<std::string, const Json*> index_benchmarks(const Json& doc) {
   return entries;
 }
 
-/// Extracts "key:value" from a benchmark name like "BM_Foo/n:50/mode:1";
+/// Extracts "key:value" from a benchmark name like "BM_Foo/n:50/kernels:1";
 /// returns fallback when the key is absent.
 double name_arg(const std::string& name, const std::string& key, double fallback) {
   const std::string needle = "/" + key + ":";
@@ -126,68 +125,24 @@ int check_invariants(const std::string& path) {
     }
   }
 
-  // Incremental TabularGreedy must do <= half the row evaluations of the
-  // rebuild path at every swept scale (the whole point of the mode).
-  bool compared_any = false;
-  for (const auto& [name, entry] : entries) {
-    if (name.rfind("BM_OfflineTabular", 0) != 0) continue;
-    if (name_arg(name, "mode", -1.0) != 1.0) continue;  // TabularMode::kIncremental
-    const double n = name_arg(name, "n", -1.0);
-    std::string rebuild_name = name;
-    rebuild_name.replace(rebuild_name.rfind("mode:1"), 6, "mode:0");
-    const auto rebuild_it = entries.find(rebuild_name);
-    if (rebuild_it == entries.end()) {
-      std::cerr << "FAIL " << name << ": no rebuild twin " << rebuild_name << "\n";
-      ++failures;
-      continue;
-    }
-    const double incremental_rows = entry->number_or("row_evals", -1.0);
-    const double rebuild_rows = rebuild_it->second->number_or("row_evals", -1.0);
-    if (incremental_rows < 0.0 || rebuild_rows <= 0.0) {
-      std::cerr << "FAIL " << name << ": missing row_evals counters\n";
-      ++failures;
-      continue;
-    }
-    compared_any = true;
-    if (2.0 * incremental_rows > rebuild_rows) {
-      std::cerr << "FAIL n=" << n << ": incremental row_evals " << incremental_rows
-                << " not <= half of rebuild " << rebuild_rows << "\n";
-      ++failures;
-    }
-  }
-  if (!compared_any) {
-    std::cerr << "FAIL: no BM_OfflineTabular incremental/rebuild pairs in " << path
-              << "\n";
-    ++failures;
-  }
-
-  // Kernel wall-clock pin: at the largest swept scale the data-oriented
-  // kernel path must hold a >= 1.8x real-time win over the scalar path in
-  // rebuild mode (mode:0) — the marginal-engine hot path the kernels exist
-  // for — and must not regress the incremental mode (mode:1) by more than
-  // 10%. Observed ratios run 2.0-2.3x across capture hosts; the original
-  // 2.0x bound sat exactly on the low end of that range and flaked on
-  // slower machines, so the gate keeps 10% headroom below the worst
-  // observed healthy capture while still failing loudly if the kernel
-  // layer stops paying for itself. The incremental scheduler was already memoized down to ~13x fewer
-  // row evaluations by earlier releases; its runtime is dominated by lazy
-  // scan bookkeeping rather than row pricing, so a 2x demand there would pin
-  // noise, while the regression bound still catches a kernel layer that
-  // hurts it. Pinned only at the top scale — small instances are
-  // setup-dominated and noisy, and a committed baseline should gate on the
-  // regime the optimization exists for.
+  // Kernel wall-clock pins on BM_OfflineTabular, the offline scheduler's
+  // one evaluation path (kernels:0 is the scalar per-policy reference loop):
+  // the kernel path must be faster at every swept n >= 25 (n = 10 is
+  // setup-dominated noise) and >= 1.8x faster at the largest swept scale.
+  // Observed top-scale ratios run 1.96-2.3x across capture hosts; a 2.0x
+  // bound flaked on slower machines, so the gate keeps 10% headroom.
   double top_scale = -1.0;
   for (const auto& [name, entry] : entries) {
     if (name.rfind("BM_OfflineTabular", 0) != 0) continue;
     top_scale = std::max(top_scale, name_arg(name, "n", -1.0));
   }
-  bool pinned_any = false;
+  bool pinned_top = false;
   for (const auto& [name, entry] : entries) {
     if (name.rfind("BM_OfflineTabular", 0) != 0) continue;
     if (name_arg(name, "kernels", -1.0) != 1.0) continue;
-    if (name_arg(name, "n", -1.0) != top_scale) continue;
-    // dl:1 rows exist to price the deadline plumbing (next check), not the
-    // kernel layer; pinning the 2x there would double-count one noisy row.
+    const double n = name_arg(name, "n", -1.0);
+    if (n < 25.0) continue;
+    // dl:1 rows price the deadline plumbing (next check), not the kernels.
     if (name_arg(name, "dl", 0.0) == 1.0) continue;
     std::string scalar_name = name;
     scalar_name.replace(scalar_name.rfind("kernels:1"), 9, "kernels:0");
@@ -204,21 +159,22 @@ int check_invariants(const std::string& path) {
       ++failures;
       continue;
     }
-    pinned_any = true;
-    const bool rebuild = name_arg(name, "mode", -1.0) == 0.0;
-    if (rebuild && scalar_time < 1.8 * kernel_time) {
+    if (!(kernel_time < scalar_time)) {
       std::cerr << "FAIL " << name << ": kernel real_time " << kernel_time
-                << " not >= 1.8x faster than scalar " << scalar_time << " ("
-                << scalar_time / kernel_time << "x)\n";
-      ++failures;
-    } else if (!rebuild && kernel_time > 1.10 * scalar_time) {
-      std::cerr << "FAIL " << name << ": kernel real_time " << kernel_time
-                << " regresses scalar " << scalar_time << " by more than 10% ("
-                << kernel_time / scalar_time << "x)\n";
+                << " not below scalar " << scalar_time << "\n";
       ++failures;
     }
+    if (n == top_scale) {
+      pinned_top = true;
+      if (scalar_time < 1.8 * kernel_time) {
+        std::cerr << "FAIL " << name << ": kernel real_time " << kernel_time
+                  << " not >= 1.8x faster than scalar " << scalar_time << " ("
+                  << scalar_time / kernel_time << "x)\n";
+        ++failures;
+      }
+    }
   }
-  if (!pinned_any) {
+  if (!pinned_top) {
     std::cerr << "FAIL: no BM_OfflineTabular kernels:1 entries at the top scale in "
               << path << " — re-capture with the kernel axis\n";
     ++failures;

@@ -13,8 +13,7 @@
 //       hotspot drifting across the field) for the predictive scheduler;
 //       at their defaults the base geometry is untouched bit for bit.
 //   solve     --in FILE [--algorithm NAME] [--colors C] [--samples S]
-//             [--seed S] [--mode incremental|rebuild] [--out SCHEDULE]
-//             [--improve]
+//             [--seed S] [--out SCHEDULE] [--improve]
 //       Runs a scheduler on a scenario file; prints the outcome, optionally
 //       writes the schedule and applies the local-search improver.
 //   eval      --in FILE --schedule FILE
@@ -55,6 +54,7 @@
 //                       the env equivalent
 //   --metrics-out FILE  write the process metric registry (counters, gauges,
 //                       histograms) as JSON
+// Any other flag is rejected with a one-line error and exit code 2.
 //
 // Algorithms for --algorithm: offline-haste (default), offline-greedy-utility,
 // offline-greedy-cover, offline-random, offline-optimal, online-haste,
@@ -65,6 +65,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/evaluate.hpp"
@@ -165,13 +166,6 @@ int cmd_solve(const util::Flags& flags) {
   params.colors = static_cast<int>(flags.get_int("colors", 4));
   params.samples = static_cast<int>(flags.get_int("samples", 4 * params.colors));
   params.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const std::string mode = flags.get("mode", "incremental");
-  if (mode != "incremental" && mode != "rebuild") {
-    std::cerr << "solve: --mode must be incremental or rebuild\n";
-    return 2;
-  }
-  params.mode =
-      mode == "rebuild" ? core::TabularMode::kRebuild : core::TabularMode::kIncremental;
 
   model::Schedule schedule(net.charger_count(), net.horizon());
   if (algorithm == "global-greedy") {
@@ -183,8 +177,7 @@ int cmd_solve(const util::Flags& flags) {
     switch (kind) {
       case sim::Algorithm::kOfflineHaste:
         schedule = core::schedule_offline(
-                       net, core::OfflineConfig{params.colors, params.samples,
-                                                params.seed, true, false, params.mode})
+                       net, core::OfflineConfig{params.colors, params.samples, params.seed})
                        .schedule;
         break;
       default: {
@@ -590,18 +583,54 @@ int cmd_predict_sweep(const util::Flags& flags) {
   return 0;
 }
 
-int run_command(const std::string& command, const util::Flags& flags) {
-  obs::Span span("cli." + command);
-  if (command == "generate") return cmd_generate(flags);
-  if (command == "solve") return cmd_solve(flags);
-  if (command == "eval") return cmd_eval(flags);
-  if (command == "testbed") return cmd_testbed(flags);
-  if (command == "render") return cmd_render(flags);
-  if (command == "heatmap") return cmd_heatmap(flags);
-  if (command == "info") return cmd_info(flags);
-  if (command == "deadline-sweep") return cmd_deadline_sweep(flags);
-  if (command == "predict-sweep") return cmd_predict_sweep(flags);
-  return usage();
+/// A subcommand and the flags it reads. main() rejects every other flag
+/// before the command runs, so a typo (`--colrs`) or a retired flag fails
+/// loudly instead of being silently ignored.
+struct Command {
+  std::string_view name;
+  int (*run)(const util::Flags&);
+  std::vector<std::string_view> flags;
+};
+
+const Command* find_command(std::string_view name) {
+  static const std::vector<Command> commands = {
+      {"generate", cmd_generate,
+       {"out", "preset", "chargers", "tasks", "seed", "gaussian", "utility",
+        "deadline-decay", "deadline-beta", "deadline-fraction", "deadline-slack-min",
+        "deadline-slack-max", "window", "burst-factor", "burst-period",
+        "hotspot-fraction", "hotspot-sigma"}},
+      {"solve", cmd_solve,
+       {"in", "algorithm", "colors", "samples", "seed", "out", "improve"}},
+      {"eval", cmd_eval, {"in", "schedule"}},
+      {"testbed", cmd_testbed, {"topology", "online", "colors"}},
+      {"render", cmd_render, {"in", "schedule", "slot", "width", "height", "svg"}},
+      {"heatmap", cmd_heatmap, {"in", "schedule", "slot", "width", "height"}},
+      {"info", cmd_info, {"in"}},
+      {"deadline-sweep", cmd_deadline_sweep,
+       {"preset", "chargers", "tasks", "decay", "betas", "fraction", "slack-min",
+        "slack-max", "trials", "seed", "csv"}},
+      {"predict-sweep", cmd_predict_sweep,
+       {"preset", "chargers", "tasks", "window", "trials", "seed", "levels",
+        "burst-factor", "burst-period", "hotspot-fraction", "hotspot-sigma", "grid",
+        "discount", "hot-rate", "min-confidence", "csv"}},
+  };
+  for (const Command& command : commands) {
+    if (command.name == name) return &command;
+  }
+  return nullptr;
+}
+
+/// Flags of `flags` that `command` does not read ("trace" and
+/// "metrics-out" are accepted by every subcommand).
+std::vector<std::string> unknown_flags(const Command& command, const util::Flags& flags) {
+  std::vector<std::string> unknown;
+  for (const std::string& name : flags.names()) {
+    if (name == "trace" || name == "metrics-out") continue;
+    if (std::find(command.flags.begin(), command.flags.end(), name) == command.flags.end()) {
+      unknown.push_back(name);
+    }
+  }
+  return unknown;
 }
 
 }  // namespace
@@ -609,7 +638,16 @@ int run_command(const std::string& command, const util::Flags& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
+  const Command* entry = find_command(command);
+  if (entry == nullptr) return usage();
   const util::Flags flags = util::Flags::parse(argc - 1, argv + 1);
+  if (const std::vector<std::string> unknown = unknown_flags(*entry, flags);
+      !unknown.empty()) {
+    std::cerr << "haste_cli " << command << ": unknown flag";
+    for (const std::string& name : unknown) std::cerr << " --" << name;
+    std::cerr << " (see the header of tools/haste_cli.cpp)\n";
+    return 2;
+  }
 
   std::string trace_path = flags.get("trace");
   if (trace_path.empty()) {
@@ -622,7 +660,8 @@ int main(int argc, char** argv) {
 
   int code = 0;
   try {
-    code = run_command(command, flags);
+    obs::Span span("cli." + command);
+    code = entry->run(flags);
   } catch (const std::exception& error) {
     std::cerr << "haste_cli " << command << ": " << error.what() << "\n";
     code = 1;
