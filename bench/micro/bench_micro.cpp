@@ -15,7 +15,6 @@
 #include "model/deadline.hpp"
 #include "sim/scenario.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -114,117 +113,70 @@ void BM_OfflineSchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_OfflineSchedule)->Args({10, 1})->Args({25, 1})->Args({50, 1})->Args({50, 4});
 
-void BM_GlobalGreedyMode(benchmark::State& state) {
-  // Head-to-head of the three marginal-evaluation modes across instance
-  // scales up to the fig07/fig15 offline size (paper-default 50 chargers /
-  // 200 tasks, swept here from 10 to 100 chargers at 4 tasks per charger so
-  // version-scan constant factors surface before paper scale). The
-  // `evaluations` counter is the number of marginal-gain evaluations the mode
-  // performed for one full schedule; `matches_lazy` is 1 when the produced
-  // schedule is identical to the lazy (seed) path.
-  const int n = static_cast<int>(state.range(1));
+void BM_GlobalGreedy(benchmark::State& state) {
+  // Global (lazy matroid) greedy across instance scales up to the fig07/fig15
+  // offline size (paper-default 50 chargers / 200 tasks, swept here from 10
+  // to 100 chargers at 4 tasks per charger). The `evaluations` counter is the
+  // number of marginal-gain evaluations for one full schedule.
+  const int n = static_cast<int>(state.range(0));
   const model::Network net = make_network(n, 4 * n);
   const auto partitions = core::build_partitions(net);
-  const auto mode = static_cast<core::GreedyMode>(state.range(0));
-  const core::GlobalGreedyResult reference =
-      core::schedule_global_greedy_over(net, partitions, {core::GreedyMode::kLazy}, {});
   core::GlobalGreedyResult result;
   for (auto _ : state) {
-    result = core::schedule_global_greedy_over(net, partitions, {mode}, {});
+    result = core::schedule_global_greedy_over(net, partitions, {});
     // Copy before DoNotOptimize: it marks its operand as asm-clobbered, which
     // would invalidate the member we still read after the loop.
     double utility = result.planned_relaxed_utility;
     benchmark::DoNotOptimize(utility);
   }
-  bool matches = result.planned_relaxed_utility == reference.planned_relaxed_utility;
-  for (model::ChargerIndex i = 0; matches && i < net.charger_count(); ++i) {
-    for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
-      if (result.schedule.assignment(i, k) != reference.schedule.assignment(i, k)) {
-        matches = false;
-        break;
-      }
-    }
-  }
   state.counters["evaluations"] = static_cast<double>(result.evaluations);
-  state.counters["matches_lazy"] = matches ? 1.0 : 0.0;
 }
-void GlobalGreedyModeArgs(benchmark::internal::Benchmark* bench) {
-  bench->ArgNames({"mode", "n"});
-  for (const core::GreedyMode mode :
-       {core::GreedyMode::kEager, core::GreedyMode::kLazy, core::GreedyMode::kIncremental}) {
-    for (const int n : {10, 25, 50, 100}) {
-      bench->Args({static_cast<int>(mode), n});
-    }
-  }
-}
-BENCHMARK(BM_GlobalGreedyMode)->Apply(GlobalGreedyModeArgs);
+BENCHMARK(BM_GlobalGreedy)->ArgName("n")->Arg(10)->Arg(25)->Arg(50)->Arg(100);
 
 void BM_OfflineTabular(benchmark::State& state) {
   // TabularGreedy (Algorithm 2) at the paper's C = 4 / S = 16 panel across
-  // instance scales, with the data-oriented kernel layer toggled per config.
-  // `row_evals` counts per-(row, sample) utility-delta evaluations,
-  // `marginal_evals` full oracle calls, and `matches_rebuild` is 1 when the
-  // schedule is bit-identical to the reference (it must always be). The
-  // reference is always computed with the kernels OFF — the scalar
-  // per-policy marginal() loop — so kernels:1 rows certify the batched
-  // kernel path against it directly. The dl axis swaps in the
-  // inert-deadline twin (factors all exactly 1, so schedules and counters
-  // stay bit-identical to dl:0); bench_compare --check caps the dl:1
-  // wall-clock overhead at 5% of the dl:0 twin's.
+  // instance scales. `row_evals` counts per-(row, sample) utility-delta
+  // evaluations and `marginal_evals` full oracle calls. bench_compare
+  // --check pins the dl:0 wall-clock at n = 25, 50 and 100. The dl axis
+  // swaps in the inert-deadline twin (factors all exactly 1, so schedules
+  // and counters stay bit-identical to dl:0); bench_compare --check caps the
+  // dl:1 wall-clock overhead at 5% of the dl:0 twin's. Schedule bit-identity
+  // against the scalar reference scheduler is certified by tier-1
+  // (test_tabular_modes), including one paper-scale instance.
   const int n = static_cast<int>(state.range(0));
-  const bool kernels = state.range(1) != 0;
-  const bool deadline_shape = state.range(2) != 0;
+  const bool deadline_shape = state.range(1) != 0;
   const model::Network base_net = make_network(n, 4 * n);
   const model::Network net = remake_network(base_net, deadline_shape);
   const auto partitions = core::build_partitions(net);
   core::OfflineConfig config;
   config.colors = 4;
   config.samples = 16;
-  core::OfflineResult reference;
-  {
-    util::ScopedKernelToggle scalar_reference(false);
-    reference = core::schedule_offline_over(net, partitions, config, {});
-  }
-  util::ScopedKernelToggle toggle(kernels);
   core::OfflineResult result;
   for (auto _ : state) {
     result = core::schedule_offline_over(net, partitions, config, {});
     double utility = result.planned_relaxed_utility;
     benchmark::DoNotOptimize(utility);
   }
-  bool matches = result.planned_relaxed_utility == reference.planned_relaxed_utility;
-  for (model::ChargerIndex i = 0; matches && i < net.charger_count(); ++i) {
-    for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
-      if (result.schedule.assignment(i, k) != reference.schedule.assignment(i, k)) {
-        matches = false;
-        break;
-      }
-    }
-  }
   state.counters["row_evals"] = static_cast<double>(result.row_evaluations);
   state.counters["marginal_evals"] = static_cast<double>(result.marginal_evaluations);
-  state.counters["matches_rebuild"] = matches ? 1.0 : 0.0;
 }
 void OfflineTabularArgs(benchmark::internal::Benchmark* bench) {
-  bench->ArgNames({"n", "kernels", "dl"});
-  // bench_compare --check gates ratios between these rows (kernels faster at
-  // every n >= 25 and >= 1.8x at the top scale, deadline plumbing <= 5%);
-  // the default 0.5 s budget gives the n:100 rows only ~4 iterations, which
-  // is visibly flaky at those thresholds. Even at 2 s per run, a single
-  // process draw still flaps a few percent on heap and code layout, so the
-  // family reports the median of 3 repetitions — the aggregate
-  // bench_compare pins against.
+  bench->ArgNames({"n", "dl"});
+  // bench_compare --check gates these rows against fixed wall-clock bounds
+  // and the deadline plumbing at <= 5%; the default 0.5 s budget gives the
+  // n:100 rows only ~4 iterations, which is visibly flaky at those
+  // thresholds. Even at 2 s per run, a single process draw still flaps a few
+  // percent on heap and code layout, so the family reports the median of 3
+  // repetitions — the aggregate bench_compare pins against.
   bench->MinTime(2.0);
   bench->Repetitions(3);
   bench->ReportAggregatesOnly(true);
   for (const int n : {10, 25, 50, 100}) {
-    for (const int kernels : {0, 1}) {
-      bench->Args({n, kernels, 0});
-      // Inert-deadline twins only at the top scale: that is where the
-      // plumbing-overhead pin applies, and the small scales are
-      // setup-dominated noise.
-      if (n == 100) bench->Args({n, kernels, 1});
-    }
+    bench->Args({n, 0});
+    // Inert-deadline twin only at the top scale: that is where the
+    // plumbing-overhead pin applies, and the small scales are
+    // setup-dominated noise.
+    if (n == 100) bench->Args({n, 1});
   }
 }
 BENCHMARK(BM_OfflineTabular)->Apply(OfflineTabularArgs);
@@ -233,38 +185,23 @@ void BM_DeadlineSweep(benchmark::State& state) {
   // TabularGreedy on a genuinely deadline-tight instance (every task under a
   // harsh linear decay): the discounted-row construction, the hard drop of
   // zero-factor rows, and the (task, delta) column dedup of tardy rows all
-  // run on the hot path here. The scalar reference certifies that the
-  // kernel path stays bit-identical on deadline instances at bench scale,
-  // not just on the small differential-test instances.
+  // run on the hot path here. Bit-identity against the scalar reference
+  // scheduler on such an instance is certified by tier-1
+  // (test_tabular_modes).
   const int n = static_cast<int>(state.range(0));
   const model::Network net = make_tight_deadline_network(n, 4 * n);
   const auto partitions = core::build_partitions(net);
   core::OfflineConfig config;
   config.colors = 4;
   config.samples = 16;
-  core::OfflineResult reference;
-  {
-    util::ScopedKernelToggle scalar_reference(false);
-    reference = core::schedule_offline_over(net, partitions, config, {});
-  }
   core::OfflineResult result;
   for (auto _ : state) {
     result = core::schedule_offline_over(net, partitions, config, {});
     double utility = result.planned_relaxed_utility;
     benchmark::DoNotOptimize(utility);
   }
-  bool matches = result.planned_relaxed_utility == reference.planned_relaxed_utility;
-  for (model::ChargerIndex i = 0; matches && i < net.charger_count(); ++i) {
-    for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
-      if (result.schedule.assignment(i, k) != reference.schedule.assignment(i, k)) {
-        matches = false;
-        break;
-      }
-    }
-  }
   state.counters["row_evals"] = static_cast<double>(result.row_evaluations);
   state.counters["marginal_evals"] = static_cast<double>(result.marginal_evaluations);
-  state.counters["matches_rebuild"] = matches ? 1.0 : 0.0;
 }
 BENCHMARK(BM_DeadlineSweep)->ArgName("n")->Arg(25)->Arg(50);
 
@@ -406,8 +343,6 @@ int main(int argc, char** argv) {
                "(debug/assert build).\n***WARNING*** Timings are meaningless; "
                "do not commit this output to BENCH_micro.json.\n");
 #endif
-  benchmark::AddCustomContext(
-      "haste_kernels", haste::util::kernels_compiled() ? "compiled" : "disabled");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

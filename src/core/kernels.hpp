@@ -2,10 +2,10 @@
 //
 // BENCH_micro shows row evaluation — the per-(row, sample) utility delta
 // summed over a policy's CSR rows — is the cost driver of both schedulers at
-// every instance scale. The scalar path pays, per row, two virtual
-// UtilityShape::value dispatches, two bounds-checked Task loads, and a
-// double-indirect weight/required fetch. This module restructures that work
-// as SoA:
+// every instance scale. Evaluated through Network::weighted_task_utility,
+// each row pays two virtual UtilityShape::value dispatches, two
+// bounds-checked Task loads, and a double-indirect weight/required fetch.
+// This module restructures that work as SoA:
 //
 //  * UtilityTable — the network's per-task utility columns (weight, required
 //    energy) plus the shape id, so a weighted utility is a division, a
@@ -19,16 +19,20 @@
 //    of a partition cache) in one flat, branch-light loop the compiler can
 //    auto-vectorize, then fold in row order.
 //
-// Bit-identity contract: every kernel performs, per element, exactly the
-// floating-point operations of the scalar reference in the same order
+// These kernels are MarginalEngine's only evaluation path; they use no
+// intrinsics, so every platform runs them. Bit-identity contract: every
+// kernel performs, per element, exactly the floating-point operations of the
+// scalar reference in the same order
 //
 //   w * shape((e + delta) / E) - w * shape(e / E)
 //
 // and row_term_sum accumulates terms strictly in row order (terms are
-// *computed* in blocks, but *summed* sequentially), so a kernel-path marginal
-// equals the scalar-path marginal bit for bit. That is the invariant every
-// differential suite enforces, and it is what lets schedules stay identical
-// with the kernels on or off (util::kernels_enabled()).
+// *computed* in blocks, but *summed* sequentially), so an engine marginal
+// equals the scalar Network::weighted_task_utility fold bit for bit. The
+// differential suites enforce that invariant against scalar test oracles
+// (test_helpers.hpp's reference TabularGreedy, the scalar engine replays of
+// test_kernels), which is what keeps schedules identical to the scalar
+// definition of the objective.
 #pragma once
 
 #include <span>

@@ -3,11 +3,10 @@
 #include <algorithm>
 
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace haste::core {
 
-void PolicyPartition::finalize() {
+void PolicyPartition::finalize(const model::Network& net) {
   row_offsets.clear();
   flat_tasks.clear();
   flat_energy.clear();
@@ -30,10 +29,6 @@ void PolicyPartition::finalize() {
                        policy.slot_energy.end());
     row_offsets.push_back(static_cast<std::int32_t>(flat_tasks.size()));
   }
-}
-
-void PolicyPartition::finalize(const model::Network& net) {
-  finalize();
   const auto& tasks = net.tasks();
   flat_weight.reserve(flat_tasks.size());
   flat_required.reserve(flat_tasks.size());
@@ -248,18 +243,13 @@ MarginalEngine::MarginalEngine(const model::Network& net, Config config,
                                std::span<const double> initial_energy)
     : net_(&net),
       config_(config),
-      table_(kernels::UtilityTable::from(net)),
-      // Latched once: a long-lived engine must not change evaluation path
-      // mid-run under a concurrent toggle flip (results are bit-identical
-      // either way, but the latch keeps the choice observable and stable).
-      use_kernels_(util::kernels_enabled()) {
+      table_(kernels::UtilityTable::from(net)) {
   if (config_.colors < 1) config_.colors = 1;
   if (config_.samples < 1) config_.samples = 1;
   if (config_.colors == 1) config_.samples = 1;  // expectation is exact
   const auto m = static_cast<std::size_t>(net.task_count());
   energy_.assign(static_cast<std::size_t>(config_.samples) * m, 0.0);
   sample_version_.assign(static_cast<std::size_t>(config_.samples) * m, 0);
-  task_version_.assign(m, 0);
   if (!initial_energy.empty()) {
     for (int s = 0; s < config_.samples; ++s) {
       for (std::size_t j = 0; j < m; ++j) {
@@ -296,20 +286,9 @@ double MarginalEngine::gain_in_sample(int s, const kernels::RowView& rows) const
   const auto m = static_cast<std::size_t>(net_->task_count());
   const double* energy = energy_.data() + static_cast<std::size_t>(s) * m;
   row_term_count_.fetch_add(rows.size(), std::memory_order_relaxed);
-  if (use_kernels_) {
-    // Compute-wide / reduce-in-order kernel; bit-identical to the reference
-    // fold below (see core/kernels.hpp).
-    return kernels::row_term_sum(table_, energy, rows);
-  }
-  double gain = 0.0;
-  for (std::size_t t = 0; t < rows.size(); ++t) {
-    const auto j = static_cast<std::size_t>(rows.tasks[t]);
-    const double before = energy[j];
-    const double after = before + rows.delta[t];
-    gain += net_->weighted_task_utility(static_cast<model::TaskIndex>(j), after) -
-            net_->weighted_task_utility(static_cast<model::TaskIndex>(j), before);
-  }
-  return gain;
+  // Compute-wide / reduce-in-order kernel; bit-identical to the scalar
+  // row-order fold (see core/kernels.hpp).
+  return kernels::row_term_sum(table_, energy, rows);
 }
 
 double MarginalEngine::marginal(model::ChargerIndex i, model::SlotIndex k,
@@ -328,15 +307,6 @@ void MarginalEngine::partition_marginals(const PolicyPartition& partition, int c
                                          double* out) const {
   const std::size_t count = partition.policies.size();
   const std::size_t rows = partition.flat_tasks.size();
-  if (!use_kernels_ || !partition.has_column_index() || rows == 0) {
-    // Scalar reference path (and degenerate partitions): the per-policy
-    // oracle loop, each call counting itself (and re-deriving its panel
-    // colors — this path is not performance-relevant).
-    for (std::size_t q = 0; q < count; ++q) {
-      out[q] = marginal(partition.charger, partition.slot, partition.policy_rows(q), c);
-    }
-    return;
-  }
   marginal_count_.fetch_add(count, std::memory_order_relaxed);
   for (std::size_t q = 0; q < count; ++q) out[q] = 0.0;
   const auto m = static_cast<std::size_t>(net_->task_count());
@@ -351,9 +321,9 @@ void MarginalEngine::partition_marginals(const PolicyPartition& partition, int c
     if (sample_colors[static_cast<std::size_t>(s)] == c) matching.push_back(s);
   }
   if (!matching.empty()) {
-    // Counter semantics match the scalar path, which prices every flat row
-    // once per matching sample — the column dedup only removes redundant
-    // arithmetic, not evaluations.
+    // Counter semantics match per-policy marginal() calls, which price every
+    // flat row once per matching sample — the column dedup only removes
+    // redundant arithmetic, not evaluations.
     row_term_count_.fetch_add(static_cast<std::uint64_t>(rows) * matching.size(),
                               std::memory_order_relaxed);
     const std::size_t cols = partition.col_task.size();
@@ -408,9 +378,9 @@ double MarginalEngine::commit(model::ChargerIndex i, model::SlotIndex k,
       // evaluated at an energy >= before — is provably unchanged, and stays
       // unchanged for the rest of the run. In practice this means commits
       // into saturated tasks dirty nothing.
-      if (weighted_utility(tasks[t], after) != weighted_utility(tasks[t], before)) {
+      if (table_.weighted_utility(tasks[t], after) !=
+          table_.weighted_utility(tasks[t], before)) {
         ++versions[j];
-        ++task_version_[j];
       }
       energy[j] = after;
     }
@@ -434,9 +404,9 @@ void MarginalEngine::commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
       const double before = energy[j];
       const double after = before + slot_energy[t];
       // Same utility-filtered bump rule as commit(); see the comment there.
-      if (weighted_utility(tasks[t], after) != weighted_utility(tasks[t], before)) {
+      if (table_.weighted_utility(tasks[t], after) !=
+          table_.weighted_utility(tasks[t], before)) {
         ++versions[j];
-        ++task_version_[j];
       }
       energy[j] = after;
     }
@@ -450,23 +420,7 @@ double MarginalEngine::row_term(int s, model::TaskIndex j, double delta) const {
   const auto m = static_cast<std::size_t>(net_->task_count());
   const double before =
       energy_[static_cast<std::size_t>(s) * m + static_cast<std::size_t>(j)];
-  return weighted_utility(j, before + delta) - weighted_utility(j, before);
-}
-
-void MarginalEngine::row_terms(int s, const kernels::RowView& rows, double* out) const {
-  row_term_count_.fetch_add(rows.size(), std::memory_order_relaxed);
-  const auto m = static_cast<std::size_t>(net_->task_count());
-  const double* energy = energy_.data() + static_cast<std::size_t>(s) * m;
-  if (use_kernels_) {
-    kernels::row_terms(table_, energy, rows, out);
-    return;
-  }
-  for (std::size_t t = 0; t < rows.size(); ++t) {
-    const auto j = static_cast<std::size_t>(rows.tasks[t]);
-    const double before = energy[j];
-    out[t] = net_->weighted_task_utility(rows.tasks[t], before + rows.delta[t]) -
-             net_->weighted_task_utility(rows.tasks[t], before);
-  }
+  return table_.weighted_utility(j, before + delta) - table_.weighted_utility(j, before);
 }
 
 double MarginalEngine::expected_value() const {
@@ -475,7 +429,7 @@ double MarginalEngine::expected_value() const {
   for (int s = 0; s < config_.samples; ++s) {
     const double* energy = energy_.data() + static_cast<std::size_t>(s) * m;
     for (std::size_t j = 0; j < m; ++j) {
-      total += weighted_utility(static_cast<model::TaskIndex>(j), energy[j]);
+      total += table_.weighted_utility(static_cast<model::TaskIndex>(j), energy[j]);
     }
   }
   return total / static_cast<double>(config_.samples);

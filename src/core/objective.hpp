@@ -37,10 +37,11 @@ struct Policy {
 /// The partition Theta_{i,k}: all policies of charger `charger` at `slot`.
 ///
 /// Besides the per-policy vectors (kept for the message protocol, which
-/// ships individual policies), a finalized partition also stores every
-/// policy's (task, energy) rows in one CSR-style flat layout so the hot
-/// evaluation loops walk contiguous memory instead of chasing one heap
-/// allocation per policy.
+/// ships individual policies), a partition also stores every policy's
+/// (task, energy) rows in one CSR-style flat layout so the hot evaluation
+/// loops walk contiguous memory instead of chasing one heap allocation per
+/// policy. build_partitions() fills that layout through finalize(net) for
+/// every partition it returns.
 struct PolicyPartition {
   model::ChargerIndex charger = 0;
   model::SlotIndex slot = 0;
@@ -51,14 +52,13 @@ struct PolicyPartition {
   std::vector<std::int32_t> row_offsets;
   std::vector<model::TaskIndex> flat_tasks;
   std::vector<double> flat_energy;
-  // Optional precomputed row columns (parallel to flat_tasks): each row's
-  // task weight and required energy, gathered once at finalize(net) so the
-  // evaluation kernels read them contiguously instead of re-gathering
-  // per (row, sample) forever after. Empty when finalize() ran without a
-  // network (protocol-shipped partitions).
+  // Precomputed row columns (parallel to flat_tasks): each row's task weight
+  // and required energy, gathered once at finalize(net) so the evaluation
+  // kernels read them contiguously instead of re-gathering per (row, sample)
+  // forever after.
   std::vector<double> flat_weight;
   std::vector<double> flat_required;
-  // Optional partition-local column index, also built by finalize(net).
+  // Partition-local column index, also built by finalize(net).
   // Within a partition every row of the same task carries the same energy
   // delta — potential_power(i, j) * slot_seconds does not depend on the
   // policy — so the flat rows collapse to the partition's distinct
@@ -73,59 +73,32 @@ struct PolicyPartition {
   std::vector<double> col_weight;
   std::vector<double> col_required;
 
-  /// (Re)builds the CSR arrays from `policies`. build_partitions() finalizes
-  /// every partition it returns; call this after mutating `policies` by hand.
-  /// The network overload additionally fills the per-row weight/required
-  /// columns.
-  void finalize();
+  /// Builds the CSR arrays, the per-row weight/required columns and the
+  /// column index from `policies`.
   void finalize(const model::Network& net);
 
-  /// True once the CSR arrays mirror `policies`.
-  bool finalized() const { return row_offsets.size() == policies.size() + 1; }
-
-  /// Contiguous (task, energy) rows of policy `q`; falls back to the
-  /// policy's own vectors when the partition was never finalized. Inline:
-  /// the evaluation loops call these per candidate, so an out-of-line hop
-  /// per accessor is measurable at scale.
+  /// Contiguous (task, energy) rows of policy `q`. Inline: the evaluation
+  /// loops call these per candidate, so an out-of-line hop per accessor is
+  /// measurable at scale.
   std::span<const model::TaskIndex> policy_tasks(std::size_t q) const {
-    if (!finalized()) return policies[q].tasks;
     const auto begin = static_cast<std::size_t>(row_offsets[q]);
     const auto end = static_cast<std::size_t>(row_offsets[q + 1]);
     return {flat_tasks.data() + begin, end - begin};
   }
   std::span<const double> policy_energy(std::size_t q) const {
-    if (!finalized()) return policies[q].slot_energy;
     const auto begin = static_cast<std::size_t>(row_offsets[q]);
     const auto end = static_cast<std::size_t>(row_offsets[q + 1]);
     return {flat_energy.data() + begin, end - begin};
   }
 
-  /// True when finalize(net) filled the per-row weight/required columns.
-  bool has_row_columns() const {
-    return finalized() && flat_weight.size() == flat_tasks.size() &&
-           flat_required.size() == flat_tasks.size();
-  }
-
-  /// True when finalize(net) also built the deduplicated column index.
-  bool has_column_index() const {
-    return has_row_columns() && flat_col.size() == flat_tasks.size() &&
-           col_task.size() == col_delta.size() &&
-           col_task.size() == col_weight.size() &&
-           col_task.size() == col_required.size();
-  }
-
-  /// Policy `q` as a kernel row batch, with the weight/required columns
-  /// attached when finalize(net) precomputed them.
+  /// Policy `q` as a kernel row batch with its weight/required columns.
   kernels::RowView policy_rows(std::size_t q) const {
-    if (has_row_columns()) {
-      const auto begin = static_cast<std::size_t>(row_offsets[q]);
-      const auto count = static_cast<std::size_t>(row_offsets[q + 1]) - begin;
-      return kernels::RowView{{flat_tasks.data() + begin, count},
-                              {flat_energy.data() + begin, count},
-                              {flat_weight.data() + begin, count},
-                              {flat_required.data() + begin, count}};
-    }
-    return kernels::RowView{policy_tasks(q), policy_energy(q), {}, {}};
+    const auto begin = static_cast<std::size_t>(row_offsets[q]);
+    const auto count = static_cast<std::size_t>(row_offsets[q + 1]) - begin;
+    return kernels::RowView{{flat_tasks.data() + begin, count},
+                            {flat_energy.data() + begin, count},
+                            {flat_weight.data() + begin, count},
+                            {flat_required.data() + begin, count}};
   }
 };
 
@@ -202,15 +175,12 @@ class MarginalEngine {
   /// for bit. The caller passes the partition's panel colors:
   /// sample_colors[s] must equal panel_color(seed(), s, partition.charger,
   /// partition.slot, colors()) — the offline scheduler visits every
-  /// partition once per color stage, so it hashes them once per run. With
-  /// the kernel path latched this prices the partition's deduplicated
-  /// (task, delta) columns across all matching samples in one panel sweep
-  /// (the unit the offline loop actually consumes), then gather-folds each
-  /// policy's row segment in row order — same per-policy accumulation order,
-  /// same counter totals, a fraction of the per-call overhead and of the
-  /// arithmetic. Falls back to per-policy marginal() calls when the kernel
-  /// path is off or the partition carries no column index (finalize()
-  /// without a network).
+  /// partition once per color stage, so it hashes them once per run. This
+  /// prices the partition's deduplicated (task, delta) columns across all
+  /// matching samples in one panel sweep (the unit the offline loop actually
+  /// consumes), then gather-folds each policy's row segment in row order —
+  /// the per-policy accumulation order and counter totals of marginal(), at
+  /// a fraction of the per-call overhead and of the arithmetic.
   void partition_marginals(const PolicyPartition& partition, int c,
                            std::span<const int> sample_colors, double* out) const;
 
@@ -257,21 +227,14 @@ class MarginalEngine {
   // unchanged is EXACT — not just a submodular upper bound. Commits that only
   // pour energy into saturated tasks bump nothing: utility shapes are concave
   // and non-decreasing, so a task that is flat across one commit stays flat
-  // for the rest of the run. The schedulers use this for zero-re-evaluation
-  // commits (global greedy) and cache reuse across remote commits
-  // (distributed nodes).
+  // for the rest of the run. The distributed nodes use this for cache reuse
+  // across remote commits.
 
   /// Number of sample-level utility changes of task `j` in sample `s`.
   std::uint64_t sample_version(int s, model::TaskIndex j) const {
     return sample_version_[static_cast<std::size_t>(s) *
                                static_cast<std::size_t>(net_->task_count()) +
                            static_cast<std::size_t>(j)];
-  }
-
-  /// Aggregate version of task `j`: the sum of its per-sample counters (one
-  /// read with S = 1, the global-greedy configuration).
-  std::uint64_t task_version(model::TaskIndex j) const {
-    return task_version_[static_cast<std::size_t>(j)];
   }
 
   /// Total number of energy-changing commits so far.
@@ -281,18 +244,8 @@ class MarginalEngine {
   /// `delta` energy is added on top of its current accumulation. Summing
   /// row_term over a policy's rows in row order reproduces `gain_in_sample`
   /// bit for bit, which lets callers cache per-row terms and refresh only the
-  /// rows whose task version moved.
+  /// rows whose sample version moved.
   double row_term(int s, model::TaskIndex j, double delta) const;
-
-  /// Batched row_term: out[t] = row_term(s, rows.tasks[t], rows.delta[t])
-  /// for every row, evaluated through the kernel layer when enabled
-  /// (bit-identical either way). This is how cache builds price whole
-  /// term panels in one call instead of one oracle round-trip per row.
-  void row_terms(int s, const kernels::RowView& rows, double* out) const;
-
-  /// Whether this engine latched the data-oriented kernel path at
-  /// construction (util::kernels_enabled() at that moment).
-  bool using_kernels() const { return use_kernels_; }
 
   /// Evaluation-effort counters, updated by the const oracle methods (thread
   /// safe: the initial panel builds evaluate rows in parallel).
@@ -309,21 +262,14 @@ class MarginalEngine {
  private:
   double gain_in_sample(int s, const kernels::RowView& rows) const;
 
-  /// Network::weighted_task_utility through the SoA table when the kernel
-  /// path is latched; bit-identical by the UtilityTable contract.
-  double weighted_utility(model::TaskIndex j, double x) const {
-    return use_kernels_ ? table_.weighted_utility(j, x)
-                        : net_->weighted_task_utility(j, x);
-  }
-
   const model::Network* net_;
   Config config_;
-  kernels::UtilityTable table_;  // SoA utility columns for the kernel path
-  bool use_kernels_ = false;     // latched once at construction
+  // SoA utility columns; weighted_utility is bit-identical to
+  // Network::weighted_task_utility by the UtilityTable contract.
+  kernels::UtilityTable table_;
   // energy_[s * m + j]: accumulated relaxed energy of task j in sample s.
   std::vector<double> energy_;
   std::vector<std::uint64_t> sample_version_;  // [s * m + j] dirty counters
-  std::vector<std::uint64_t> task_version_;    // per-task sums over samples
   std::uint64_t commit_count_ = 0;
   mutable std::atomic<std::uint64_t> row_term_count_{0};
   mutable std::atomic<std::uint64_t> marginal_count_{0};

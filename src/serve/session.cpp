@@ -1,6 +1,9 @@
 #include "serve/session.hpp"
 
+#include <algorithm>
+#include <initializer_list>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "io/scenario_io.hpp"
@@ -97,6 +100,18 @@ std::string check_deadline_echo(const model::Network& net, const Json& deadlines
   return "";
 }
 
+/// Throws naming the first key of object `json` that is not in `known`, so a
+/// client still sending a removed or misspelled knob hears about it instead
+/// of running with the default.
+void reject_unknown_keys(const Json& json, const std::string& where,
+                         std::initializer_list<std::string_view> known) {
+  for (const auto& [key, value] : json.items()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw std::invalid_argument("unknown " + where + " key \"" + key + "\"");
+    }
+  }
+}
+
 }  // namespace
 
 Json online_config_to_json(const dist::OnlineConfig& config) {
@@ -122,6 +137,8 @@ Json online_config_to_json(const dist::OnlineConfig& config) {
 }
 
 dist::OnlineConfig online_config_from_json(const Json& json) {
+  reject_unknown_keys(json, "config",
+                      {"strategy", "colors", "samples", "seed", "reuse_nodes", "predictor"});
   dist::OnlineConfig config;
   config.strategy = parse_strategy(json.string_or("strategy", "haste"));
   config.colors = static_cast<int>(json.number_or("colors", config.colors));
@@ -130,6 +147,10 @@ dist::OnlineConfig online_config_from_json(const Json& json) {
   config.reuse_nodes = json.bool_or("reuse_nodes", config.reuse_nodes);
   if (json.contains("predictor")) {
     const Json& predictor = json.at("predictor");
+    reject_unknown_keys(predictor, "config.predictor",
+                        {"enabled", "grid", "discount", "hot_rate", "min_confidence",
+                         "surprise_factor", "max_level", "batch_slots", "batch_tasks",
+                         "shortfall_factor"});
     predict::PredictorConfig& p = config.predictor;
     p.enabled = predictor.bool_or("enabled", p.enabled);
     p.grid = static_cast<int>(predictor.number_or("grid", p.grid));

@@ -19,7 +19,9 @@ Algorithm parse_algorithm(const std::string& name) {
   if (name == "offline-greedy-utility") return Algorithm::kOfflineGreedyUtility;
   if (name == "offline-greedy-cover") return Algorithm::kOfflineGreedyCover;
   if (name == "offline-random") return Algorithm::kOfflineRandom;
-  if (name == "offline-global-greedy") return Algorithm::kOfflineGlobalGreedy;
+  if (name == "offline-global-greedy" || name == "global-greedy") {
+    return Algorithm::kOfflineGlobalGreedy;
+  }
   if (name == "offline-improved") return Algorithm::kOfflineImproved;
   if (name == "offline-optimal") return Algorithm::kOfflineOptimalRelaxed;
   if (name == "online-haste") return Algorithm::kOnlineHaste;
@@ -49,8 +51,10 @@ std::string algorithm_name(Algorithm algorithm) {
 namespace {
 
 RunMetrics from_evaluation(const model::Network& net,
-                           const core::EvaluationResult& evaluation) {
+                           const core::EvaluationResult& evaluation,
+                           model::Schedule schedule) {
   RunMetrics metrics;
+  metrics.schedule = std::move(schedule);
   metrics.weighted_utility = evaluation.weighted_utility;
   const double bound = net.utility_upper_bound();
   metrics.normalized_utility = bound > 0.0 ? evaluation.weighted_utility / bound : 0.0;
@@ -64,36 +68,34 @@ RunMetrics from_evaluation(const model::Network& net,
 
 RunMetrics run_algorithm(const model::Network& net, Algorithm algorithm,
                          const AlgoParams& params) {
+  // Scores an offline schedule and keeps it with its metrics.
+  const auto evaluated = [&net](model::Schedule schedule) {
+    const core::EvaluationResult evaluation = core::evaluate_schedule(net, schedule);
+    return from_evaluation(net, evaluation, std::move(schedule));
+  };
   switch (algorithm) {
-    case Algorithm::kOfflineHaste: {
-      const core::OfflineResult result = core::schedule_offline(
-          net, core::OfflineConfig{params.colors, params.samples, params.seed});
-      return from_evaluation(net, core::evaluate_schedule(net, result.schedule));
-    }
+    case Algorithm::kOfflineHaste:
+      return evaluated(core::schedule_offline(
+                           net, core::OfflineConfig{params.colors, params.samples,
+                                                    params.seed})
+                           .schedule);
     case Algorithm::kOfflineGreedyUtility:
-      return from_evaluation(
-          net, core::evaluate_schedule(net, baseline::schedule_greedy_utility(net)));
+      return evaluated(baseline::schedule_greedy_utility(net));
     case Algorithm::kOfflineGreedyCover:
-      return from_evaluation(
-          net, core::evaluate_schedule(net, baseline::schedule_greedy_cover(net)));
+      return evaluated(baseline::schedule_greedy_cover(net));
     case Algorithm::kOfflineRandom:
-      return from_evaluation(
-          net, core::evaluate_schedule(net, baseline::schedule_random(net, params.seed)));
+      return evaluated(baseline::schedule_random(net, params.seed));
     case Algorithm::kOfflineGlobalGreedy:
-      return from_evaluation(
-          net, core::evaluate_schedule(net, core::schedule_global_greedy(net).schedule));
+      return evaluated(core::schedule_global_greedy(net).schedule);
     case Algorithm::kOfflineImproved: {
       const core::GlobalGreedyResult greedy = core::schedule_global_greedy(net);
       const auto partitions = core::build_partitions(net);
-      const core::LocalSearchResult improved =
-          core::improve_schedule(net, partitions, greedy.schedule);
-      return from_evaluation(net, core::evaluate_schedule(net, improved.schedule));
+      return evaluated(core::improve_schedule(net, partitions, greedy.schedule).schedule);
     }
     case Algorithm::kOfflineOptimalRelaxed: {
-      const baseline::BruteForceResult result =
+      baseline::BruteForceResult result =
           baseline::optimal_relaxed(net, params.brute_force_budget);
-      RunMetrics metrics =
-          from_evaluation(net, core::evaluate_schedule(net, result.schedule));
+      RunMetrics metrics = evaluated(std::move(result.schedule));
       // For the optimum we report the *relaxed* objective as the headline
       // number (the paper's OPT curve has no switching delay).
       metrics.weighted_utility = result.relaxed_utility;
@@ -124,8 +126,9 @@ RunMetrics run_algorithm(const model::Network& net, Algorithm algorithm,
           config.strategy = dist::OnlineStrategy::kGreedyCover;
           break;
       }
-      const dist::OnlineResult result = dist::run_online(net, config);
-      RunMetrics metrics = from_evaluation(net, result.evaluation);
+      dist::OnlineResult result = dist::run_online(net, config);
+      RunMetrics metrics =
+          from_evaluation(net, result.evaluation, std::move(result.schedule));
       metrics.messages = result.messages;
       metrics.deliveries = result.deliveries;
       metrics.rounds = result.rounds;

@@ -8,6 +8,7 @@
 
 #include "core/objective.hpp"
 #include "model/network.hpp"
+#include "model/schedule.hpp"
 
 namespace haste::sim {
 
@@ -26,7 +27,8 @@ enum class Algorithm {
   kOnlineGreedyCover,     ///< GreedyCover re-run per arrival (tau delay)
 };
 
-/// Parses "offline-haste", "online-haste", "greedy-utility", ... ;
+/// Parses "offline-haste", "online-haste", "greedy-utility", ... (and
+/// "global-greedy", haste_cli's spelling of "offline-global-greedy");
 /// throws std::invalid_argument on unknown names.
 Algorithm parse_algorithm(const std::string& name);
 
@@ -53,6 +55,7 @@ struct RunMetrics {
   std::uint64_t rounds = 0;        ///< online only
   std::uint64_t negotiations = 0;  ///< online only
   bool exact = true;               ///< kOfflineOptimalRelaxed: search exhausted
+  model::Schedule schedule;        ///< the schedule the metrics evaluate
 };
 
 /// Runs one algorithm on a network.

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -89,6 +90,14 @@ std::vector<std::string> Flags::names() const {
   std::vector<std::string> out;
   out.reserve(values_.size());
   for (const auto& [name, value] : values_) out.push_back(name);
+  return out;
+}
+
+std::vector<std::string> Flags::unknown(std::span<const std::string_view> known) const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) out.push_back(name);
+  }
   return out;
 }
 

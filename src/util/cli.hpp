@@ -1,15 +1,17 @@
 // Tiny command-line flag parser shared by benches and examples.
 //
 // Supported syntax: `--name=value`, `--name value`, and boolean `--name`.
-// names() lists every flag seen, so a binary can reject the ones it does not
-// read with a helpful error instead of silently ignoring typos (haste_cli
-// does).
+// unknown() lists the flags a binary does not read, so it can reject them
+// with a helpful error instead of silently ignoring typos (haste_cli,
+// haste_serve and haste_shard do).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace haste::util {
@@ -47,6 +49,9 @@ class Flags {
   /// All flag names seen (sorted), for unknown-flag checks and --help style
   /// listings.
   std::vector<std::string> names() const;
+
+  /// Flags seen that are not in `known` (sorted), for rejecting typos.
+  std::vector<std::string> unknown(std::span<const std::string_view> known) const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -3,8 +3,8 @@
 // Differentials: the greedy schedulers against the exact branch-and-bound
 // optimum on deadline instances (the 1/2 guarantee must survive the plug-in
 // objective), the deduplicated (task, delta) partition columns vs per-policy
-// rows, kernels on vs off, and online node-reuse sweeps — all bit-identical
-// contracts.
+// marginals, the production scheduler vs the scalar reference scheduler, and
+// online node-reuse sweeps — all bit-identical contracts.
 //
 // Properties: tardiness decay monotone non-increasing, beta -> infinity
 // reproduces the base objective bit for bit, hard mode never emits a row for
@@ -27,7 +27,6 @@
 #include "model/deadline.hpp"
 #include "sim/scenario.hpp"
 #include "test_helpers.hpp"
-#include "util/simd.hpp"
 
 namespace haste {
 namespace {
@@ -108,35 +107,52 @@ TEST_P(DeadlineSweep, GreedyKeepsHalfGuaranteeAgainstBruteForce) {
 }
 
 // Tardy rows carry discounted energies, which the partition's deduplicated
-// (task, delta) column index must price exactly. The offline scheduler
-// priced through that index must match the same partitions finalized
-// without it, which price every policy's rows one marginal() call at a time.
-// (The name predates the removal of the offline scheduler's
-// incremental/rebuild mode switch.)
+// (task, delta) column index must price exactly: along a greedy trajectory,
+// every batched partition_marginals value must equal the per-policy
+// marginal() call bit for bit, with the same effort counters. (The name
+// predates the removal of the offline scheduler's incremental/rebuild mode
+// switch.)
 TEST_P(DeadlineSweep, RebuildAndIncrementalBitIdentical) {
   util::Rng rng(GetParam() * 7 + 1);
   const model::Network base = make_base(rng);
   for (const model::DeadlinePolicy& policy : sweep_policies()) {
     const model::Network net = with_deadlines(base, rng, policy);
-    core::OfflineConfig config;
-    config.colors = 2;
-    config.samples = 4;
-    const std::vector<core::PolicyPartition> columns = core::build_partitions(net);
-    std::vector<core::PolicyPartition> rows = columns;
-    for (core::PolicyPartition& partition : rows) {
-      partition.finalize();  // CSR rows only: no column index
-      ASSERT_FALSE(partition.has_column_index());
+    const core::MarginalEngine::Config config{2, 4, 1};
+    core::MarginalEngine by_column(net, config);
+    core::MarginalEngine by_policy(net, config);
+    const std::vector<core::PolicyPartition> partitions = core::build_partitions(net);
+    std::vector<double> batched;
+    std::vector<int> sample_colors;
+    for (int c = 0; c < by_column.colors(); ++c) {
+      for (const core::PolicyPartition& partition : partitions) {
+        sample_colors.clear();
+        for (int s = 0; s < by_column.samples(); ++s) {
+          sample_colors.push_back(core::MarginalEngine::panel_color(
+              config.seed, s, partition.charger, partition.slot, by_column.colors()));
+        }
+        batched.assign(partition.policies.size(), -1.0);
+        by_column.partition_marginals(partition, c, sample_colors, batched.data());
+        std::size_t best = 0;
+        for (std::size_t q = 0; q < partition.policies.size(); ++q) {
+          const double single = by_policy.marginal(partition.charger, partition.slot,
+                                                   partition.policies[q], c);
+          ASSERT_EQ(batched[q], single) << "color " << c << " policy " << q;
+          if (single > batched[best]) best = q;
+        }
+        by_column.commit(partition.charger, partition.slot, partition.policies[best], c);
+        by_policy.commit(partition.charger, partition.slot, partition.policies[best], c);
+      }
     }
-    const core::OfflineResult by_column =
-        core::schedule_offline_over(net, columns, config, {});
-    const core::OfflineResult by_row = core::schedule_offline_over(net, rows, config, {});
-    expect_equal_schedules(by_row.schedule, by_column.schedule);
-    EXPECT_EQ(by_row.planned_relaxed_utility, by_column.planned_relaxed_utility);
+    EXPECT_EQ(by_column.expected_value(), by_policy.expected_value());
+    EXPECT_EQ(by_column.stats().row_terms, by_policy.stats().row_terms);
+    EXPECT_EQ(by_column.stats().marginals, by_policy.stats().marginals);
   }
 }
 
+// The production scheduler against the scalar reference TabularGreedy of
+// test_helpers.hpp on deadline instances. (The name predates the removal of
+// the runtime kernel toggle.)
 TEST_P(DeadlineSweep, KernelsOnOffBitIdentical) {
-  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
   util::Rng rng(GetParam() * 13 + 2);
   const model::Network base = make_base(rng);
   for (const model::DeadlinePolicy& policy : sweep_policies()) {
@@ -144,24 +160,12 @@ TEST_P(DeadlineSweep, KernelsOnOffBitIdentical) {
     core::OfflineConfig config;
     config.colors = 2;
     config.samples = 4;
-    model::Schedule scalar(net.charger_count(), net.horizon());
-    model::Schedule kernel(net.charger_count(), net.horizon());
-    double scalar_utility = 0.0;
-    double kernel_utility = 0.0;
-    {
-      util::ScopedKernelToggle off(false);
-      const core::OfflineResult result = core::schedule_offline(net, config);
-      scalar = result.schedule;
-      scalar_utility = result.planned_relaxed_utility;
-    }
-    {
-      util::ScopedKernelToggle on(true);
-      const core::OfflineResult result = core::schedule_offline(net, config);
-      kernel = result.schedule;
-      kernel_utility = result.planned_relaxed_utility;
-    }
-    expect_equal_schedules(scalar, kernel);
-    EXPECT_EQ(scalar_utility, kernel_utility);
+    const auto partitions = core::build_partitions(net);
+    const core::OfflineResult reference =
+        testing_helpers::reference_tabular_greedy(net, partitions, config);
+    const core::OfflineResult production = core::schedule_offline(net, config);
+    expect_equal_schedules(reference.schedule, production.schedule);
+    EXPECT_EQ(reference.planned_relaxed_utility, production.planned_relaxed_utility);
   }
 }
 

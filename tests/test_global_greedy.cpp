@@ -13,24 +13,22 @@ namespace {
 
 using testing_helpers::random_network;
 
+// The production lazy greedy against the eager re-evaluate-every-pop oracle
+// of test_helpers.hpp. (The names predate the removal of the per-mode
+// switch.)
 TEST(GlobalGreedy, AllModesMatchExactly) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     util::Rng rng(seed);
     const model::Network net = random_network(rng, 3, 8, 4);
     const GlobalGreedyResult eager =
-        schedule_global_greedy(net, {GreedyMode::kEager});
-    const GlobalGreedyResult lazy = schedule_global_greedy(net, {GreedyMode::kLazy});
-    const GlobalGreedyResult incremental =
-        schedule_global_greedy(net, {GreedyMode::kIncremental});
+        testing_helpers::reference_global_greedy(
+          net, build_partitions(net), testing_helpers::GreedyOracle::kEager);
+    const GlobalGreedyResult lazy = schedule_global_greedy(net);
     EXPECT_NEAR(lazy.planned_relaxed_utility, eager.planned_relaxed_utility, 1e-9)
-        << "seed " << seed;
-    EXPECT_DOUBLE_EQ(incremental.planned_relaxed_utility, lazy.planned_relaxed_utility)
         << "seed " << seed;
     for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
       for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
         EXPECT_EQ(lazy.schedule.assignment(i, k), eager.schedule.assignment(i, k))
-            << "seed " << seed << " charger " << i << " slot " << k;
-        EXPECT_EQ(incremental.schedule.assignment(i, k), lazy.schedule.assignment(i, k))
             << "seed " << seed << " charger " << i << " slot " << k;
       }
     }
@@ -40,12 +38,11 @@ TEST(GlobalGreedy, AllModesMatchExactly) {
 TEST(GlobalGreedy, CheaperModesSaveEvaluations) {
   util::Rng rng(10);
   const model::Network net = random_network(rng, 4, 12, 5);
-  const GlobalGreedyResult eager = schedule_global_greedy(net, {GreedyMode::kEager});
-  const GlobalGreedyResult lazy = schedule_global_greedy(net, {GreedyMode::kLazy});
-  const GlobalGreedyResult incremental =
-      schedule_global_greedy(net, {GreedyMode::kIncremental});
+  const GlobalGreedyResult eager =
+      testing_helpers::reference_global_greedy(
+          net, build_partitions(net), testing_helpers::GreedyOracle::kEager);
+  const GlobalGreedyResult lazy = schedule_global_greedy(net);
   EXPECT_LE(lazy.evaluations, eager.evaluations);
-  EXPECT_LE(incremental.evaluations, lazy.evaluations);
 }
 
 TEST(GlobalGreedy, RespectsPartitionMatroid) {
@@ -108,7 +105,7 @@ TEST(GlobalGreedy, InitialEnergyRespected) {
   }
   const auto partitions = build_partitions(net);
   const GlobalGreedyResult result =
-      schedule_global_greedy_over(net, partitions, {}, full);
+      schedule_global_greedy_over(net, partitions, full);
   for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
     for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
       EXPECT_FALSE(result.schedule.assignment(i, k).has_value());

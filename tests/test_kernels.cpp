@@ -1,8 +1,12 @@
 // Differential tests for the data-oriented kernel layer (core/kernels) and
 // its integration into the marginal engine and the schedulers: every batched
-// path must be bit-identical to the scalar reference — per weighted utility,
-// per row term, per marginal, and for whole schedules with the kernels
-// toggled on and off.
+// path must be bit-identical to a scalar reference — per weighted utility,
+// per row term, per marginal (against the ScalarEngine replay of
+// test_helpers.hpp), per coverage entry (against a per-pair
+// PowerModel::potential_power sweep), and for whole schedules (against the
+// reference schedulers of test_helpers.hpp). The "OnAndOff" names predate
+// the removal of the runtime kernel toggle and are kept so results stay
+// comparable across history.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,12 +22,13 @@
 #include "model/utility.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace haste {
 namespace {
 
+using testing_helpers::expect_identical_schedules;
 using testing_helpers::random_network;
+using testing_helpers::ScalarEngine;
 
 /// A concave bounded shape the kernel layer cannot identify: it must report
 /// kCustom and every batched path must fall back to value() — still batched,
@@ -52,17 +57,6 @@ std::vector<std::shared_ptr<const model::UtilityShape>> all_shapes() {
           std::make_shared<model::SqrtBoundedShape>(),
           std::make_shared<model::LogBoundedShape>(),
           std::make_shared<PowShape>()};
-}
-
-void expect_identical_schedules(const model::Schedule& a, const model::Schedule& b) {
-  ASSERT_EQ(a.charger_count(), b.charger_count());
-  ASSERT_EQ(a.horizon(), b.horizon());
-  for (model::ChargerIndex i = 0; i < a.charger_count(); ++i) {
-    for (model::SlotIndex k = 0; k < a.horizon(); ++k) {
-      EXPECT_EQ(a.assignment(i, k), b.assignment(i, k))
-          << "charger " << i << " slot " << k;
-    }
-  }
 }
 
 TEST(UtilityTable, WeightedUtilityBitIdenticalAcrossShapes) {
@@ -158,27 +152,16 @@ TEST(Kernels, RowViewWeightColumnsAreEquivalent) {
 }
 
 TEST(Kernels, EngineMarginalsBitIdenticalOnAndOff) {
-  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
   util::Rng rng(43);
   for (const auto& shape : all_shapes()) {
     const model::Network net = with_shape(random_network(rng, 5, 20, 5), shape);
     const auto partitions = core::build_partitions(net);
     ASSERT_FALSE(partitions.empty());
     const core::MarginalEngine::Config config{3, 6, 99};
-    std::unique_ptr<core::MarginalEngine> scalar;
-    std::unique_ptr<core::MarginalEngine> kernel;
-    {
-      util::ScopedKernelToggle off(false);
-      scalar = std::make_unique<core::MarginalEngine>(net, config);
-    }
-    {
-      util::ScopedKernelToggle on(true);
-      kernel = std::make_unique<core::MarginalEngine>(net, config);
-    }
-    EXPECT_FALSE(scalar->using_kernels());
-    EXPECT_TRUE(kernel->using_kernels());
+    ScalarEngine scalar(net, config);
+    core::MarginalEngine engine(net, config);
     // Interleave marginals and commits; every observable must stay bitwise
-    // equal between the two engines.
+    // equal between the engine and its scalar replay.
     util::Rng walk(7);
     for (int step = 0; step < 60; ++step) {
       const auto p = static_cast<std::size_t>(
@@ -187,46 +170,54 @@ TEST(Kernels, EngineMarginalsBitIdenticalOnAndOff) {
       const auto q = static_cast<std::size_t>(
           walk.uniform_int(0, static_cast<int>(partition.policies.size()) - 1));
       const int c = walk.uniform_int(0, config.colors - 1);
-      ASSERT_EQ(scalar->marginal(partition.charger, partition.slot,
-                                 partition.policy_rows(q), c),
-                kernel->marginal(partition.charger, partition.slot,
-                                 partition.policy_rows(q), c))
+      ASSERT_EQ(scalar.marginal(partition.charger, partition.slot,
+                                partition.policy_tasks(q), partition.policy_energy(q), c),
+                engine.marginal(partition.charger, partition.slot,
+                                partition.policy_rows(q), c))
           << shape->name() << " step " << step;
       if (step % 3 == 0) {
-        ASSERT_EQ(scalar->commit(partition.charger, partition.slot,
-                                 partition.policy_tasks(q), partition.policy_energy(q), c),
-                  kernel->commit(partition.charger, partition.slot,
-                                 partition.policy_tasks(q), partition.policy_energy(q), c))
+        ASSERT_EQ(scalar.commit(partition.charger, partition.slot,
+                                partition.policy_tasks(q), partition.policy_energy(q), c),
+                  engine.commit(partition.charger, partition.slot,
+                                partition.policy_tasks(q), partition.policy_energy(q), c))
             << shape->name() << " step " << step;
         // Version counters must agree too: the utility-filtered bump decides
-        // cache certification in both schedulers.
-        for (model::TaskIndex j = 0; j < net.task_count(); ++j) {
-          ASSERT_EQ(scalar->task_version(j), kernel->task_version(j));
+        // cache certification in the negotiation nodes.
+        for (int s = 0; s < config.samples; ++s) {
+          for (model::TaskIndex j = 0; j < net.task_count(); ++j) {
+            ASSERT_EQ(scalar.sample_version(s, j), engine.sample_version(s, j));
+          }
         }
       }
-      ASSERT_EQ(scalar->expected_value(), kernel->expected_value());
+      ASSERT_EQ(scalar.expected_value(), engine.expected_value());
     }
+    EXPECT_EQ(scalar.row_terms, engine.stats().row_terms) << shape->name();
+    EXPECT_EQ(scalar.marginals, engine.stats().marginals) << shape->name();
   }
 }
 
 TEST(Kernels, BatchedRowTermsMatchScalarRowTerm) {
-  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
+  // The batched kernel over a replayed per-sample energy state must equal the
+  // engine's own per-row oracle row_term on the same state.
   util::Rng rng(47);
   const model::Network net = random_network(rng, 4, 15);
   const auto partitions = core::build_partitions(net);
   ASSERT_FALSE(partitions.empty());
   const core::MarginalEngine::Config config{2, 4, 5};
-  util::ScopedKernelToggle on(true);
   core::MarginalEngine engine(net, config);
+  ScalarEngine replay(net, config);
+  const auto table = core::kernels::UtilityTable::from(net);
   // Seed some state so energies differ per sample-color history.
-  engine.commit(partitions[0].charger, partitions[0].slot,
-                partitions[0].policy_tasks(0), partitions[0].policy_energy(0), 0);
+  replay.commit(partitions[0].charger, partitions[0].slot, partitions[0].policy_tasks(0),
+                partitions[0].policy_energy(0), 0);
+  engine.commit(partitions[0].charger, partitions[0].slot, partitions[0].policy_tasks(0),
+                partitions[0].policy_energy(0), 0);
   for (const auto& partition : partitions) {
     for (std::size_t q = 0; q < partition.policies.size(); ++q) {
       const auto rows = partition.policy_rows(q);
       for (int s = 0; s < engine.samples(); ++s) {
         std::vector<double> batched(rows.size());
-        engine.row_terms(s, rows, batched.data());
+        core::kernels::row_terms(table, replay.energy(s), rows, batched.data());
         for (std::size_t t = 0; t < rows.size(); ++t) {
           ASSERT_EQ(batched[t], engine.row_term(s, rows.tasks[t], rows.delta[t]))
               << "sample " << s << " row " << t;
@@ -237,42 +228,29 @@ TEST(Kernels, BatchedRowTermsMatchScalarRowTerm) {
 }
 
 TEST(Kernels, NetworkCoverageBitIdenticalOnAndOff) {
-  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
-  util::Rng rng_a(53);
-  util::Rng rng_b(53);
   // Narrow receiving sectors so the batched sector classification actually
   // carries the coverage decision.
-  std::unique_ptr<model::Network> scalar;
-  std::unique_ptr<model::Network> kernel;
-  {
-    util::ScopedKernelToggle off(false);
-    scalar = std::make_unique<model::Network>(
-        random_network(rng_a, 8, 40, 4, geom::kPi / 3.0));
-  }
-  {
-    util::ScopedKernelToggle on(true);
-    kernel = std::make_unique<model::Network>(
-        random_network(rng_b, 8, 40, 4, geom::kPi / 3.0));
-  }
-  ASSERT_EQ(scalar->charger_count(), kernel->charger_count());
-  ASSERT_EQ(scalar->task_count(), kernel->task_count());
-  for (model::ChargerIndex i = 0; i < scalar->charger_count(); ++i) {
-    const auto scalar_cover = scalar->coverable_tasks(i);
-    const auto kernel_cover = kernel->coverable_tasks(i);
-    ASSERT_EQ(std::vector<model::TaskIndex>(scalar_cover.begin(), scalar_cover.end()),
-              std::vector<model::TaskIndex>(kernel_cover.begin(), kernel_cover.end()))
-        << "charger " << i;
-    for (model::TaskIndex j = 0; j < scalar->task_count(); ++j) {
-      ASSERT_EQ(scalar->potential_power(i, j), kernel->potential_power(i, j))
+  util::Rng rng(53);
+  const model::Network net = random_network(rng, 8, 40, 4, geom::kPi / 3.0);
+  for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
+    std::vector<model::TaskIndex> expected_cover;
+    for (model::TaskIndex j = 0; j < net.task_count(); ++j) {
+      const double p = net.power_model().potential_power(
+          net.chargers()[static_cast<std::size_t>(i)].position,
+          net.tasks()[static_cast<std::size_t>(j)]);
+      if (p > 0.0) expected_cover.push_back(j);
+      ASSERT_EQ(net.potential_power(i, j), p > 0.0 ? p : 0.0)
           << "charger " << i << " task " << j;
     }
+    const auto cover = net.coverable_tasks(i);
+    ASSERT_EQ(std::vector<model::TaskIndex>(cover.begin(), cover.end()), expected_cover)
+        << "charger " << i;
   }
 }
 
 class KernelScheduleDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(KernelScheduleDifferential, OfflineSchedulesBitIdenticalOnAndOff) {
-  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
   util::Rng rng(GetParam());
   const model::Network net = random_network(rng, 6, 24, 5);
   const auto partitions = core::build_partitions(net);
@@ -280,46 +258,35 @@ TEST_P(KernelScheduleDifferential, OfflineSchedulesBitIdenticalOnAndOff) {
   config.colors = 3;
   config.samples = 6;
   config.seed = GetParam();
-  core::OfflineResult off;
-  core::OfflineResult on;
-  {
-    util::ScopedKernelToggle toggle(false);
-    off = core::schedule_offline_over(net, partitions, config, {});
-  }
-  {
-    util::ScopedKernelToggle toggle(true);
-    on = core::schedule_offline_over(net, partitions, config, {});
-  }
-  EXPECT_EQ(off.planned_relaxed_utility, on.planned_relaxed_utility);
+  const core::OfflineResult reference =
+      testing_helpers::reference_tabular_greedy(net, partitions, config);
+  const core::OfflineResult production =
+      core::schedule_offline_over(net, partitions, config, {});
+  EXPECT_EQ(reference.planned_relaxed_utility, production.planned_relaxed_utility);
   // Same effort, not just the same answer: the batched kernel path must
-  // count exactly the rows and oracle calls the scalar loop pays.
-  EXPECT_EQ(off.row_evaluations, on.row_evaluations);
-  EXPECT_EQ(off.marginal_evaluations, on.marginal_evaluations);
-  expect_identical_schedules(off.schedule, on.schedule);
+  // count exactly the rows and oracle calls the scalar per-policy loop pays.
+  EXPECT_EQ(reference.row_evaluations, production.row_evaluations);
+  EXPECT_EQ(reference.marginal_evaluations, production.marginal_evaluations);
+  expect_identical_schedules(reference.schedule, production.schedule);
 }
 
 TEST_P(KernelScheduleDifferential, GlobalGreedySchedulesBitIdenticalOnAndOff) {
-  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
   util::Rng rng(GetParam() + 1000);
   const model::Network net = random_network(rng, 6, 24, 5);
   const auto partitions = core::build_partitions(net);
-  for (const core::GreedyMode mode :
-       {core::GreedyMode::kLazy, core::GreedyMode::kIncremental, core::GreedyMode::kEager}) {
-    core::GlobalGreedyResult off;
-    core::GlobalGreedyResult on;
-    {
-      util::ScopedKernelToggle toggle(false);
-      off = core::schedule_global_greedy_over(net, partitions, {mode}, {});
-    }
-    {
-      util::ScopedKernelToggle toggle(true);
-      on = core::schedule_global_greedy_over(net, partitions, {mode}, {});
-    }
-    EXPECT_EQ(off.planned_relaxed_utility, on.planned_relaxed_utility);
-    EXPECT_EQ(off.evaluations, on.evaluations);
-    EXPECT_EQ(off.row_corrections, on.row_corrections);
-    expect_identical_schedules(off.schedule, on.schedule);
-  }
+  const core::GlobalGreedyResult reference = testing_helpers::reference_global_greedy(
+      net, partitions, testing_helpers::GreedyOracle::kLazy);
+  const core::GlobalGreedyResult production =
+      core::schedule_global_greedy_over(net, partitions, {});
+  EXPECT_EQ(reference.planned_relaxed_utility, production.planned_relaxed_utility);
+  EXPECT_EQ(reference.evaluations, production.evaluations);
+  expect_identical_schedules(reference.schedule, production.schedule);
+  // The eager oracle may break floating-point ties differently but must
+  // reach the same objective.
+  EXPECT_EQ(testing_helpers::reference_global_greedy(net, partitions,
+                                                     testing_helpers::GreedyOracle::kEager)
+                .planned_relaxed_utility,
+            production.planned_relaxed_utility);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelScheduleDifferential,

@@ -30,7 +30,6 @@
 #include "test_helpers.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace haste {
 namespace {
@@ -290,42 +289,28 @@ TEST(Cadence, SurpriseAndShortfallResetTrust) {
 
 TEST(OnlinePredict, DisabledPredictorBitIdenticalAcrossKernelsAndReuse) {
   // The reactive path must not depend on the predictor's existence: with
-  // predictor.enabled = false (the default), every combination of kernel
-  // toggle and node reuse produces the same bits. This is the predictor-off
-  // half of the online_predict_differential contract; the cross-build half
-  // (identical to a pre-predictor checkout) follows because this path
-  // never constructs a predict:: object.
+  // predictor.enabled = false (the default), fresh and persistent node
+  // fleets produce the same bits. This is the predictor-off half of the
+  // online_predict_differential contract; the cross-build half (identical
+  // to a pre-predictor checkout) follows because this path never constructs
+  // a predict:: object. (The name predates the removal of the runtime
+  // kernel toggle.)
   const model::Network net = bursty_network(small_bursty_config(), 21);
-  std::vector<dist::OnlineResult> results;  // (kernels, reuse): 00, 01, 10, 11
-  for (const bool kernels : {false, true}) {
-    for (const bool reuse : {false, true}) {
-      util::ScopedKernelToggle toggle(kernels);
-      dist::OnlineConfig config;
-      config.colors = 2;
-      config.samples = 4;
-      config.reuse_nodes = reuse;
-      results.push_back(dist::run_online(net, config));
-      EXPECT_EQ(results.back().replans_skipped, 0u);
-      EXPECT_EQ(results.back().predictor, predict::PredictorStats{});
-    }
+  std::vector<dist::OnlineResult> results;  // reuse off, reuse on
+  for (const bool reuse : {false, true}) {
+    dist::OnlineConfig config;
+    config.colors = 2;
+    config.samples = 4;
+    config.reuse_nodes = reuse;
+    results.push_back(dist::run_online(net, config));
+    EXPECT_EQ(results.back().replans_skipped, 0u);
+    EXPECT_EQ(results.back().predictor, predict::PredictorStats{});
   }
-  {
-    // Kernels on vs off (same reuse): fully identical, row_evals included.
-    SCOPED_TRACE("kernels, reuse off");
-    expect_equal_results(results[2], results[0]);
-  }
-  {
-    SCOPED_TRACE("kernels, reuse on");
-    expect_equal_results(results[3], results[1]);
-  }
-  {
-    // Reuse on vs off: identical bits and message ledger, but the persistent
-    // column store legitimately SKIPS re-pricing row_terms for columns whose
-    // base energy is unchanged — row-eval counts are exempt by contract.
-    SCOPED_TRACE("reuse");
-    expect_equal_results(results[1], results[0], /*compare_row_evals=*/false);
-    EXPECT_LE(results[1].row_evaluations, results[0].row_evaluations);
-  }
+  // Reuse on vs off: identical bits and message ledger, but the persistent
+  // column store legitimately SKIPS re-pricing row_terms for columns whose
+  // base energy is unchanged — row-eval counts are exempt by contract.
+  expect_equal_results(results[1], results[0], /*compare_row_evals=*/false);
+  EXPECT_LE(results[1].row_evaluations, results[0].row_evaluations);
 }
 
 TEST(OnlinePredict, LevelZeroNoPrewarmIsFullPassThrough) {

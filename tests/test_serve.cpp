@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/online.hpp"
@@ -505,6 +506,32 @@ TEST(ServeConfig, OnlineConfigJsonRoundTripsExactly) {
 
   EXPECT_THROW(online_config_from_json(Json::parse(R"({"strategy":"nope"})")),
                util::JsonError);
+}
+
+TEST(ServeConfig, UnknownConfigKeysGetAnErrorReplyNamingTheKey) {
+  // A removed knob ("mode" selected the since-deleted rebuild/incremental
+  // evaluation paths) or a misspelled one must not silently run with the
+  // default: the open is answered with an error that names the key.
+  util::Rng rng(5);
+  const model::Network net = testing_helpers::random_network(rng, 3, 6, 3);
+  for (const auto& [config, key] :
+       {std::pair<const char*, const char*>{R"({"mode":"rebuild"})", "mode"},
+        {R"({"colors":2,"predictor":{"enabled":true,"gird":4}})", "gird"}}) {
+    SCOPED_TRACE(config);
+    Session session;
+    Json open = Json::object();
+    open.set("op", "open");
+    open.set("scenario", io::network_to_json(net));
+    open.set("config", Json::parse(config));
+    const Reply reply = session.handle_line(open.dump());
+    const Json parsed = Json::parse(reply.line);
+    EXPECT_FALSE(parsed.bool_or("ok", true));
+    EXPECT_EQ(parsed.string_or("op", ""), "error");
+    EXPECT_NE(parsed.string_or("message", "").find(std::string("\"") + key + "\""),
+              std::string::npos)
+        << parsed.string_or("message", "");
+    EXPECT_TRUE(reply.close);
+  }
 }
 
 }  // namespace

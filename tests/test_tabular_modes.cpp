@@ -1,72 +1,49 @@
 // Differential tests for the TabularGreedy evaluation paths. Each scheduler
 // has one production path, checked here against its test oracle:
-//   - offline (Algorithm 2): the batched kernel path of partition_marginals
-//     against the scalar per-policy marginal() loop it falls back to with
-//     the kernels off — same schedules, same planned utilities, same effort
-//     counters — across panel shapes, tie-break settings and warm starts;
-//   - the online negotiation: the nodes' column-cached pricing with the
-//     kernel table and persistent nodes against the scalar engine with a
-//     fresh fleet per re-plan.
+//   - offline (Algorithm 2): schedule_offline_over, which prices partitions
+//     through the batched partition_marginals kernels, against the scalar
+//     reference_tabular_greedy of test_helpers.hpp — same schedules,
+//     bitwise-equal planned utilities, same effort counters — across panel
+//     shapes, tie-break settings, warm starts, one paper-scale instance and
+//     one deadline-tight instance;
+//   - the online negotiation: the nodes' column-cached pricing with
+//     persistent nodes against a fresh fleet per re-plan.
 // The suite and test names predate the removal of the per-scheduler
 // incremental/rebuild mode switch and are kept so results stay comparable
-// across history. The suite toggles the kernels itself, so it runs the same
-// under any HASTE_KERNELS setting.
+// across history.
 #include <gtest/gtest.h>
 
-#include <utility>
 #include <vector>
 
 #include "core/offline.hpp"
 #include "dist/online.hpp"
+#include "sim/scenario.hpp"
 #include "test_helpers.hpp"
-#include "util/simd.hpp"
 
 namespace haste {
 namespace {
 
+using testing_helpers::expect_identical_schedules;
 using testing_helpers::random_network;
+using testing_helpers::reference_tabular_greedy;
 
-void expect_identical_schedules(const model::Schedule& a, const model::Schedule& b) {
-  ASSERT_EQ(a.charger_count(), b.charger_count());
-  ASSERT_EQ(a.horizon(), b.horizon());
-  for (model::ChargerIndex i = 0; i < a.charger_count(); ++i) {
-    for (model::SlotIndex k = 0; k < a.horizon(); ++k) {
-      EXPECT_EQ(a.assignment(i, k), b.assignment(i, k))
-          << "charger " << i << " slot " << k;
-    }
-  }
-}
-
-void expect_identical_results(const core::OfflineResult& scalar,
-                              const core::OfflineResult& kernel) {
-  EXPECT_EQ(scalar.planned_relaxed_utility, kernel.planned_relaxed_utility);
-  EXPECT_EQ(scalar.row_evaluations, kernel.row_evaluations);
-  EXPECT_EQ(scalar.marginal_evaluations, kernel.marginal_evaluations);
-  expect_identical_schedules(scalar.schedule, kernel.schedule);
-}
-
-/// Runs `solve` once with the kernel path off (the scalar oracle) and once
-/// with it on.
-template <typename Solve>
-std::pair<core::OfflineResult, core::OfflineResult> scalar_and_kernel(Solve solve) {
-  core::OfflineResult scalar;
-  {
-    util::ScopedKernelToggle off(false);
-    scalar = solve();
-  }
-  util::ScopedKernelToggle on(true);
-  return {std::move(scalar), solve()};
+void expect_identical_results(const core::OfflineResult& reference,
+                              const core::OfflineResult& production) {
+  EXPECT_EQ(reference.planned_relaxed_utility, production.planned_relaxed_utility);
+  EXPECT_EQ(reference.row_evaluations, production.row_evaluations);
+  EXPECT_EQ(reference.marginal_evaluations, production.marginal_evaluations);
+  expect_identical_schedules(reference.schedule, production.schedule);
 }
 
 class TabularModeDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 // The core property: for every panel shape and either tie-break setting, the
-// batched kernel path walks the exact same greedy trajectory as the scalar
-// per-policy loop.
+// production scheduler walks the exact same greedy trajectory as the scalar
+// per-policy reference.
 TEST_P(TabularModeDifferential, OfflineIncrementalMatchesRebuild) {
-  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
   util::Rng rng(GetParam());
   const model::Network net = random_network(rng, 6, 14, 4);
+  const auto partitions = core::build_partitions(net);
   for (const int colors : {1, 2, 4, 8}) {
     for (const int samples : {1, 16}) {
       for (const bool tiebreak : {false, true}) {
@@ -77,9 +54,8 @@ TEST_P(TabularModeDifferential, OfflineIncrementalMatchesRebuild) {
         config.samples = samples;
         config.seed = GetParam();
         config.switch_avoiding_tiebreak = tiebreak;
-        const auto [scalar, kernel] =
-            scalar_and_kernel([&] { return core::schedule_offline(net, config); });
-        expect_identical_results(scalar, kernel);
+        expect_identical_results(reference_tabular_greedy(net, partitions, config),
+                                 core::schedule_offline(net, config));
       }
     }
   }
@@ -88,7 +64,6 @@ TEST_P(TabularModeDifferential, OfflineIncrementalMatchesRebuild) {
 // Warm starts (online re-planning) price every column on top of nonzero
 // initial energies.
 TEST_P(TabularModeDifferential, OfflineWithInitialEnergyMatches) {
-  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
   util::Rng rng(GetParam() + 1000);
   const model::Network net = random_network(rng, 5, 12, 4);
   const auto partitions = core::build_partitions(net);
@@ -96,40 +71,69 @@ TEST_P(TabularModeDifferential, OfflineWithInitialEnergyMatches) {
   for (double& e : initial) e = rng.uniform(0.0, 2000.0);
   core::OfflineConfig config;
   config.seed = GetParam();
-  const auto [scalar, kernel] = scalar_and_kernel(
-      [&] { return core::schedule_offline_over(net, partitions, config, initial); });
-  expect_identical_results(scalar, kernel);
+  expect_identical_results(reference_tabular_greedy(net, partitions, config, initial),
+                           core::schedule_offline_over(net, partitions, config, initial));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TabularModeDifferential,
                          ::testing::Range<std::uint64_t>(1, 21));
 
+// Paper scale (50 chargers / 200 tasks, the paper's C = 4 / S = 16 panel):
+// the instance size of fig07 and of the offline end-to-end workload.
+TEST(TabularReference, PaperScaleMatchesReference) {
+  sim::ScenarioConfig scenario = sim::ScenarioConfig::paper_default();
+  scenario.chargers = 50;
+  scenario.tasks = 200;
+  util::Rng rng(7);
+  const model::Network net = sim::generate_scenario(scenario, rng);
+  const auto partitions = core::build_partitions(net);
+  const core::OfflineConfig config;  // C = 4, S = 16
+  ASSERT_EQ(config.colors, 4);
+  ASSERT_EQ(config.samples, 16);
+  expect_identical_results(reference_tabular_greedy(net, partitions, config),
+                           core::schedule_offline_over(net, partitions, config, {}));
+}
+
+// Deadline-tight: every task carries a deadline inside its window under a
+// harsh linear decay, so discounted rows, dropped zero-factor rows and the
+// column dedup of tardy rows all run.
+TEST(TabularReference, TightDeadlinesMatchReference) {
+  sim::ScenarioConfig scenario = sim::ScenarioConfig::paper_default();
+  scenario.chargers = 25;
+  scenario.tasks = 100;
+  scenario.deadline_decay = "linear";
+  scenario.deadline_beta = 4.0;
+  scenario.deadline_fraction = 1.0;
+  util::Rng rng(7);
+  const model::Network net = sim::generate_scenario(scenario, rng);
+  ASSERT_TRUE(net.has_deadlines());
+  const auto partitions = core::build_partitions(net);
+  const core::OfflineConfig config;
+  expect_identical_results(reference_tabular_greedy(net, partitions, config),
+                           core::schedule_offline_over(net, partitions, config, {}));
+}
+
 class OnlineModeDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 // The distributed negotiation (elections and the sequential token protocol):
 // remote UPDATEs dirty exactly the plan columns whose utilities moved, so the
-// column-cached nodes on the kernel table with persistent caches reproduce a
-// fresh scalar fleet's marginals, elections and messages.
+// column-cached nodes with persistent caches reproduce a fresh fleet's
+// marginals, elections and messages.
 TEST_P(OnlineModeDifferential, NegotiationIncrementalMatchesRebuild) {
   util::Rng rng(GetParam());
   const model::Network net = random_network(rng, 5, 12, 4);
   for (const dist::OnlineStrategy strategy :
        {dist::OnlineStrategy::kHaste, dist::OnlineStrategy::kHasteSequential}) {
-    dist::OnlineConfig reference;
-    reference.strategy = strategy;
-    reference.colors = 2;
-    reference.samples = 8;
-    reference.seed = GetParam();
-    reference.reuse_nodes = false;
-    dist::OnlineConfig production = reference;
-    production.reuse_nodes = true;
-    dist::OnlineResult a;
-    {
-      util::ScopedKernelToggle off(false);
-      a = dist::run_online(net, reference);
-    }
-    util::ScopedKernelToggle on(true);
-    const dist::OnlineResult b = dist::run_online(net, production);
+    dist::OnlineConfig fresh;
+    fresh.strategy = strategy;
+    fresh.colors = 2;
+    fresh.samples = 8;
+    fresh.seed = GetParam();
+    fresh.reuse_nodes = false;
+    dist::OnlineConfig persistent = fresh;
+    persistent.reuse_nodes = true;
+    const dist::OnlineResult a = dist::run_online(net, fresh);
+    const dist::OnlineResult b = dist::run_online(net, persistent);
     EXPECT_EQ(a.evaluation.weighted_utility, b.evaluation.weighted_utility);
     EXPECT_EQ(a.messages, b.messages);
     EXPECT_EQ(a.rounds, b.rounds);

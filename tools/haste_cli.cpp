@@ -57,8 +57,10 @@
 // Any other flag is rejected with a one-line error and exit code 2.
 //
 // Algorithms for --algorithm: offline-haste (default), offline-greedy-utility,
-// offline-greedy-cover, offline-random, offline-optimal, online-haste,
-// online-greedy-utility, online-greedy-cover, global-greedy.
+// offline-greedy-cover, offline-random, offline-global-greedy (alias
+// global-greedy), offline-improved, offline-optimal, online-haste,
+// online-haste-seq, online-greedy-utility, online-greedy-cover. Every one of
+// them honours --out and --improve.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -66,12 +68,11 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/evaluate.hpp"
-#include "core/global_greedy.hpp"
 #include "core/local_search.hpp"
-#include "core/offline.hpp"
 #include "dist/online.hpp"
 #include "io/scenario_io.hpp"
 #include "obs/metrics.hpp"
@@ -167,33 +168,8 @@ int cmd_solve(const util::Flags& flags) {
   params.samples = static_cast<int>(flags.get_int("samples", 4 * params.colors));
   params.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
-  model::Schedule schedule(net.charger_count(), net.horizon());
-  if (algorithm == "global-greedy") {
-    schedule = core::schedule_global_greedy(net).schedule;
-  } else {
-    const sim::Algorithm kind = sim::parse_algorithm(algorithm);
-    // Reuse the uniform runner for metrics, but re-derive the schedule for
-    // offline algorithms so it can be saved / improved.
-    switch (kind) {
-      case sim::Algorithm::kOfflineHaste:
-        schedule = core::schedule_offline(
-                       net, core::OfflineConfig{params.colors, params.samples, params.seed})
-                       .schedule;
-        break;
-      default: {
-        const sim::RunMetrics metrics = sim::run_algorithm(net, kind, params);
-        std::cout << algorithm << ": utility "
-                  << util::format_fixed(metrics.weighted_utility, 4) << " (normalized "
-                  << util::format_fixed(metrics.normalized_utility, 4) << ")\n";
-        if (metrics.messages > 0) {
-          std::cout << "messages " << metrics.messages << ", rounds " << metrics.rounds
-                    << ", negotiations " << metrics.negotiations << "\n";
-        }
-        return 0;
-      }
-    }
-  }
-
+  sim::RunMetrics metrics = sim::run_algorithm(net, sim::parse_algorithm(algorithm), params);
+  model::Schedule schedule = std::move(metrics.schedule);
   if (flags.get_bool("improve")) {
     const auto partitions = core::build_partitions(net);
     const core::LocalSearchResult improved =
@@ -206,6 +182,10 @@ int cmd_solve(const util::Flags& flags) {
   }
 
   print_outcome(net, core::evaluate_schedule(net, schedule));
+  if (metrics.messages > 0) {
+    std::cout << "messages " << metrics.messages << ", rounds " << metrics.rounds
+              << ", negotiations " << metrics.negotiations << "\n";
+  }
   const std::string out = flags.get("out");
   if (!out.empty()) {
     io::save_schedule(out, schedule);
@@ -620,19 +600,6 @@ const Command* find_command(std::string_view name) {
   return nullptr;
 }
 
-/// Flags of `flags` that `command` does not read ("trace" and
-/// "metrics-out" are accepted by every subcommand).
-std::vector<std::string> unknown_flags(const Command& command, const util::Flags& flags) {
-  std::vector<std::string> unknown;
-  for (const std::string& name : flags.names()) {
-    if (name == "trace" || name == "metrics-out") continue;
-    if (std::find(command.flags.begin(), command.flags.end(), name) == command.flags.end()) {
-      unknown.push_back(name);
-    }
-  }
-  return unknown;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -641,8 +608,10 @@ int main(int argc, char** argv) {
   const Command* entry = find_command(command);
   if (entry == nullptr) return usage();
   const util::Flags flags = util::Flags::parse(argc - 1, argv + 1);
-  if (const std::vector<std::string> unknown = unknown_flags(*entry, flags);
-      !unknown.empty()) {
+  // "trace" and "metrics-out" are accepted by every subcommand.
+  std::vector<std::string_view> known = entry->flags;
+  known.insert(known.end(), {"trace", "metrics-out"});
+  if (const std::vector<std::string> unknown = flags.unknown(known); !unknown.empty()) {
     std::cerr << "haste_cli " << command << ": unknown flag";
     for (const std::string& name : unknown) std::cerr << " --" << name;
     std::cerr << " (see the header of tools/haste_cli.cpp)\n";

@@ -100,6 +100,16 @@ std::string token_from(const util::Flags& flags) {
   return token;
 }
 
+/// Every flag of the three modes; anything else is rejected up front.
+constexpr std::string_view kFlags[] = {
+    // serve mode
+    "listen", "token", "max-sessions", "quota", "threads", "auth-wait", "trace",
+    "metrics-out", "metrics-listen", "trace-ring", "flush-ms",
+    // replay mode
+    "connect", "replay", "verify", "strategy", "colors", "samples", "seed", "sleep-ms",
+    // self-test mode
+    "self-test", "sessions", "drain"};
+
 int usage() {
   std::cerr << "usage: haste_serve [--listen ADDR] [--token SECRET] [serve flags]\n"
                "       haste_serve --connect HOST:PORT --replay SCENARIO.json"
@@ -459,6 +469,12 @@ int main(int argc, char** argv) {
   try {
     const util::Flags flags = util::Flags::parse(argc, argv);
     if (!flags.positional().empty()) return usage();
+    if (const std::vector<std::string> unknown = flags.unknown(kFlags); !unknown.empty()) {
+      std::cerr << "haste_serve: unknown flag";
+      for (const std::string& name : unknown) std::cerr << " --" << name;
+      std::cerr << " (see the header of tools/haste_serve.cpp)\n";
+      return 2;
+    }
     if (flags.get_bool("self-test")) return self_test_main(flags, self_path(argv[0]));
     if (flags.has("connect")) return replay_main(flags);
     return serve_main(flags);

@@ -152,6 +152,15 @@ void print_summary(double x, const std::map<std::string, sim::UtilitySummary>& s
   }
 }
 
+/// Every driver-mode flag; anything else is rejected up front. ("token" is
+/// read from argv before parsing, since the worker modes honour it too.)
+constexpr std::string_view kFlags[] = {
+    "preset", "chargers", "tasks", "variants", "trials", "seed", "sweep-tasks",
+    "workers", "shard-trials", "no-adaptive", "min-steal-trials", "shard-timeout",
+    "manifest", "out", "verify", "inject", "worker-bin", "trace", "metrics-out",
+    "trace-ring", "flush-ms", "serve", "tcp-workers", "tcp-spawn", "connect-wait",
+    "token"};
+
 int usage() {
   std::cerr << "usage: haste_shard [driver flags]\n"
                "       haste_shard --worker            (serve shards on stdin)\n"
@@ -187,6 +196,12 @@ int main(int argc, char** argv) {
 
   try {
     const util::Flags flags = util::Flags::parse(argc, argv);
+    if (const std::vector<std::string> unknown = flags.unknown(kFlags); !unknown.empty()) {
+      std::cerr << "haste_shard: unknown flag";
+      for (const std::string& name : unknown) std::cerr << " --" << name;
+      std::cerr << " (see the header of tools/haste_shard.cpp)\n";
+      return 2;
+    }
 
     sim::ScenarioConfig config = flags.get("preset", "paper") == "small"
                                      ? sim::ScenarioConfig::small_scale()
