@@ -1,6 +1,8 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -12,6 +14,10 @@ namespace haste::bench {
 BenchContext BenchContext::from_args(int argc, const char* const* argv, int quick_trials,
                                      int full_trials) {
   const util::Flags flags = util::Flags::parse(argc, argv);
+  static constexpr std::string_view kFlags[] = {"full", "trials", "seed", "csv"};
+  if (flags.reject_unknown(std::filesystem::path(argv[0]).filename().string(), kFlags)) {
+    std::exit(2);
+  }
   BenchContext context;
   context.full = flags.get_bool("full", false);
   context.trials = static_cast<int>(

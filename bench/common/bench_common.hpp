@@ -6,6 +6,9 @@
 //   --seed S      base RNG seed (default 2018)
 //   --csv PATH    additionally dump the series as CSV
 //
+// and no other flag: a typo exits 2 with a one-line error instead of
+// silently running the defaults.
+//
 // Quick mode keeps every binary within tens of seconds on a laptop; --full
 // reproduces the paper's averaging (100 random topologies per point).
 #pragma once

@@ -12,10 +12,12 @@
 #include "core/offline.hpp"
 #include "geom/angle.hpp"
 #include "model/network.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace haste;
+  if (util::Flags::parse(argc, argv).reject_unknown("quickstart", {})) return 2;
 
   // 1. Hardware model: 60-degree charging sectors, 120-degree receiving
   //    sectors, 8 m range; power = alpha / (d + beta)^2.

@@ -15,6 +15,8 @@
 int main(int argc, char** argv) {
   using namespace haste;
   const util::Flags flags = util::Flags::parse(argc, argv);
+  static constexpr std::string_view kFlags[] = {"trials", "chargers", "tasks"};
+  if (flags.reject_unknown("sensor_farm_comparison", kFlags)) return 2;
   const int trials = static_cast<int>(flags.get_int("trials", 5));
 
   // Clustered farm: tasks concentrate around the field center (Gaussian), a

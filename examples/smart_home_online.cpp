@@ -16,6 +16,8 @@
 int main(int argc, char** argv) {
   using namespace haste;
   const util::Flags flags = util::Flags::parse(argc, argv);
+  static constexpr std::string_view kFlags[] = {"colors"};
+  if (flags.reject_unknown("smart_home_online", kFlags)) return 2;
 
   model::PowerModel power;
   power.alpha = 60.0;

@@ -49,6 +49,8 @@ void replay(const model::Network& net, const std::string& name) {
 
 int main(int argc, char** argv) {
   const util::Flags flags = util::Flags::parse(argc, argv);
+  static constexpr std::string_view kFlags[] = {"topology"};
+  if (flags.reject_unknown("testbed_replay", kFlags)) return 2;
   const std::int64_t which = flags.get_int("topology", 0);
   if (which == 0 || which == 1) {
     replay(testbed::topology1(), "Topology 1 (Fig. 20)");

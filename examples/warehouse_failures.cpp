@@ -16,6 +16,8 @@
 int main(int argc, char** argv) {
   using namespace haste;
   const util::Flags flags = util::Flags::parse(argc, argv);
+  static constexpr std::string_view kFlags[] = {"seed", "svg"};
+  if (flags.reject_unknown("warehouse_failures", kFlags)) return 2;
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));
 
   // A 30 m x 30 m hall: 9 chargers in a ceiling grid, 30 trackers raising

@@ -356,15 +356,13 @@ void MarginalEngine::partition_marginals(const PolicyPartition& partition, int c
   }
 }
 
-double MarginalEngine::commit(model::ChargerIndex i, model::SlotIndex k,
-                              std::span<const model::TaskIndex> tasks,
-                              std::span<const double> slot_energy, int c) {
+void MarginalEngine::commit(model::ChargerIndex i, model::SlotIndex k,
+                            std::span<const model::TaskIndex> tasks,
+                            std::span<const double> slot_energy, int c) {
   const auto m = static_cast<std::size_t>(net_->task_count());
-  double total = 0.0;
   bool applied = false;
   for (int s = 0; s < config_.samples; ++s) {
     if (panel_color(config_.seed, s, i, k, config_.colors) != c) continue;
-    total += gain_in_sample(s, kernels::RowView{tasks, slot_energy, {}, {}});
     double* energy = energy_.data() + static_cast<std::size_t>(s) * m;
     std::uint64_t* versions = sample_version_.data() + static_cast<std::size_t>(s) * m;
     for (std::size_t t = 0; t < tasks.size(); ++t) {
@@ -378,32 +376,6 @@ double MarginalEngine::commit(model::ChargerIndex i, model::SlotIndex k,
       // evaluated at an energy >= before — is provably unchanged, and stays
       // unchanged for the rest of the run. In practice this means commits
       // into saturated tasks dirty nothing.
-      if (table_.weighted_utility(tasks[t], after) !=
-          table_.weighted_utility(tasks[t], before)) {
-        ++versions[j];
-      }
-      energy[j] = after;
-    }
-    applied = true;
-  }
-  if (applied) ++commit_count_;
-  return total / static_cast<double>(config_.samples);
-}
-
-void MarginalEngine::commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
-                                    std::span<const model::TaskIndex> tasks,
-                                    std::span<const double> slot_energy, int c) {
-  const auto m = static_cast<std::size_t>(net_->task_count());
-  bool applied = false;
-  for (int s = 0; s < config_.samples; ++s) {
-    if (panel_color(config_.seed, s, i, k, config_.colors) != c) continue;
-    double* energy = energy_.data() + static_cast<std::size_t>(s) * m;
-    std::uint64_t* versions = sample_version_.data() + static_cast<std::size_t>(s) * m;
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const auto j = static_cast<std::size_t>(tasks[t]);
-      const double before = energy[j];
-      const double after = before + slot_energy[t];
-      // Same utility-filtered bump rule as commit(); see the comment there.
       if (table_.weighted_utility(tasks[t], after) !=
           table_.weighted_utility(tasks[t], before)) {
         ++versions[j];

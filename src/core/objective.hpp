@@ -184,32 +184,18 @@ class MarginalEngine {
   void partition_marginals(const PolicyPartition& partition, int c,
                            std::span<const int> sample_colors, double* out) const;
 
-  /// Commits the S-C tuple; returns the realized marginal.
-  double commit(model::ChargerIndex i, model::SlotIndex k, const Policy& policy, int c) {
-    return commit(i, k, policy.tasks, policy.slot_energy, c);
+  /// Commits the S-C tuple: adds the policy's slot energies to every panel
+  /// sample whose color at (i, k) is `c` and bumps the versions of the rows
+  /// whose utility moved. Prices nothing — a caller that wants the realized
+  /// gain takes marginal() of the same policy just before committing.
+  void commit(model::ChargerIndex i, model::SlotIndex k, const Policy& policy, int c) {
+    commit(i, k, policy.tasks, policy.slot_energy, c);
   }
 
   /// Span-based core of `commit`.
-  double commit(model::ChargerIndex i, model::SlotIndex k,
-                std::span<const model::TaskIndex> tasks,
-                std::span<const double> slot_energy, int c);
-
-  /// Commit without re-evaluating the realized gain. For callers that
-  /// selected the policy on a certified-exact cached marginal (the
-  /// negotiation node's column cache): the gain commit() would recompute is
-  /// bit for bit the value they already hold, so only the energy
-  /// accumulation and the version bumps remain to be done. Identical state
-  /// trajectory to commit(), zero row_term work.
-  void commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
-                      std::span<const model::TaskIndex> tasks,
-                      std::span<const double> slot_energy, int c);
-
-  /// Applies the effect of another charger's committed tuple (distributed
-  /// case): identical to commit but named for clarity at call sites.
-  double apply_remote_commit(model::ChargerIndex i, model::SlotIndex k,
-                             const Policy& policy, int c) {
-    return commit(i, k, policy, c);
-  }
+  void commit(model::ChargerIndex i, model::SlotIndex k,
+              std::span<const model::TaskIndex> tasks,
+              std::span<const double> slot_energy, int c);
 
   /// Current estimate of F(Q) (panel average of the weighted utility).
   double expected_value() const;

@@ -1,7 +1,6 @@
 #include "dist/node.hpp"
 
 #include <algorithm>
-#include <bit>
 
 namespace haste::dist {
 
@@ -12,37 +11,26 @@ constexpr double kTieSlack = 1e-12;
 }  // namespace
 
 ChargerNode::ChargerNode(const model::Network& net, model::ChargerIndex id,
-                         core::MarginalEngine::Config engine_config)
-    : net_(&net), id_(id), engine_config_(engine_config) {
+                         core::MarginalEngine::Config engine_config,
+                         const std::vector<model::TaskIndex>& known_tasks,
+                         std::span<const double> initial_energy)
+    : net_(&net),
+      id_(id),
+      engine_config_(engine_config),
+      dominant_(core::extract_dominant_sets(net, id, known_tasks)),
+      engine_(net, engine_config, initial_energy) {
   previous_orientation_.assign(static_cast<std::size_t>(std::max(1, engine_config.colors)),
                                std::nullopt);
-}
-
-Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks,
-                                std::span<const double> initial_energy) {
-  // Dominant sets are a pure function of (net, id, known_tasks); consecutive
-  // re-plans of a reused node usually extend `known_tasks` (recompute) but
-  // failure-triggered re-plans repeat it verbatim (hit).
-  if (!dominant_cached_ || cached_known_ != known_tasks) {
-    dominant_ = core::extract_dominant_sets(*net_, id_, known_tasks);
-    cached_known_ = known_tasks;
-    dominant_cached_ = true;
-  }
-  engine_.emplace(*net_, engine_config_, initial_energy);
-  selections_.clear();
-  neighbor_tasks_.clear();
-  std::fill(previous_orientation_.begin(), previous_orientation_.end(), std::nullopt);
 
   // HELLO: announce which known tasks this charger can cover, with the
   // per-slot energy it would deliver (lets neighbors predict participation).
-  Message hello;
-  hello.sender = id_;
-  hello.command = Command::kHello;
+  hello_.sender = id_;
+  hello_.command = Command::kHello;
   for (model::TaskIndex j : known_tasks) {
     const double p = net_->potential_power(id_, j);
     if (p > 0.0) {
-      hello.policy.tasks.push_back(j);
-      hello.policy.slot_energy.push_back(p * net_->time().slot_seconds);
+      hello_.policy.tasks.push_back(j);
+      hello_.policy.slot_energy.push_back(p * net_->time().slot_seconds);
     }
   }
 
@@ -51,43 +39,20 @@ Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks
   // slot-independent). All samples share the initial energies, so one
   // row_term per column is exact for the whole panel (replication), and
   // version 0 matches the engine's untouched counters.
-  plan_col_task_.clear();
-  plan_col_delta_.clear();
   plan_col_of_.assign(static_cast<std::size_t>(net_->task_count()), -1);
-  for (std::size_t t = 0; t < hello.policy.tasks.size(); ++t) {
-    plan_col_of_[static_cast<std::size_t>(hello.policy.tasks[t])] =
+  for (std::size_t t = 0; t < hello_.policy.tasks.size(); ++t) {
+    plan_col_of_[static_cast<std::size_t>(hello_.policy.tasks[t])] =
         static_cast<std::ptrdiff_t>(plan_col_task_.size());
-    plan_col_task_.push_back(hello.policy.tasks[t]);
-    plan_col_delta_.push_back(hello.policy.slot_energy[t]);
+    plan_col_task_.push_back(hello_.policy.tasks[t]);
+    plan_col_delta_.push_back(hello_.policy.slot_energy[t]);
   }
-  const auto samples = static_cast<std::size_t>(engine_->samples());
-  plan_terms_.assign(plan_col_task_.size() * samples, 0.0);
+  const auto samples = static_cast<std::size_t>(engine_.samples());
+  plan_terms_.reserve(plan_col_task_.size() * samples);
   plan_versions_.assign(plan_col_task_.size() * samples, 0);
-  if (term_cache_valid_.size() != static_cast<std::size_t>(net_->task_count())) {
-    term_cache_base_.assign(static_cast<std::size_t>(net_->task_count()), 0);
-    term_cache_term_.assign(static_cast<std::size_t>(net_->task_count()), 0.0);
-    term_cache_valid_.assign(static_cast<std::size_t>(net_->task_count()), 0);
-  }
   for (std::size_t col = 0; col < plan_col_task_.size(); ++col) {
-    const auto j = static_cast<std::size_t>(plan_col_task_[col]);
-    // row_term(0, j, delta) on a fresh engine is a pure function of the
-    // task's harvested base energy (delta never changes for a column), so
-    // a bitwise-equal base since the previous plan reuses the cached term
-    // — the re-plan's dominant row_term cost when energies are settled.
-    const double base_energy = j < initial_energy.size() ? initial_energy[j] : 0.0;
-    const std::uint64_t base_bits = std::bit_cast<std::uint64_t>(base_energy);
-    double term;
-    if (term_cache_valid_[j] != 0 && term_cache_base_[j] == base_bits) {
-      term = term_cache_term_[j];
-    } else {
-      term = engine_->row_term(0, plan_col_task_[col], plan_col_delta_[col]);
-      term_cache_base_[j] = base_bits;
-      term_cache_term_[j] = term;
-      term_cache_valid_[j] = 1;
-    }
-    for (std::size_t s = 0; s < samples; ++s) plan_terms_[col * samples + s] = term;
+    const double term = engine_.row_term(0, plan_col_task_[col], plan_col_delta_[col]);
+    plan_terms_.insert(plan_terms_.end(), samples, term);
   }
-  return hello;
 }
 
 bool ChargerNode::begin_stage(model::SlotIndex slot, int color) {
@@ -96,9 +61,9 @@ bool ChargerNode::begin_stage(model::SlotIndex slot, int color) {
   stage_policies_ = core::make_slot_policies(*net_, id_, dominant_, slot);
   stage_cache_.assign(stage_policies_.size(), PolicyTermCache{});
   stage_samples_.clear();
-  for (int s = 0; s < engine_->samples(); ++s) {
+  for (int s = 0; s < engine_.samples(); ++s) {
     if (core::MarginalEngine::panel_color(engine_config_.seed, s, id_, slot,
-                                          engine_->colors()) == color) {
+                                          engine_.colors()) == color) {
       stage_samples_.push_back(s);
     }
   }
@@ -107,7 +72,7 @@ bool ChargerNode::begin_stage(model::SlotIndex slot, int color) {
   // with never-priced stamps (engine versions can be anything by now).
   stage_policy_col_.clear();
   stage_policy_row0_.assign(stage_policies_.size(), 0);
-  const auto samples = static_cast<std::size_t>(engine_->samples());
+  const auto samples = static_cast<std::size_t>(engine_.samples());
   for (std::size_t q = 0; q < stage_policies_.size(); ++q) {
     stage_policy_row0_[q] = stage_policy_col_.size();
     const core::Policy& policy = stage_policies_[q];
@@ -159,7 +124,7 @@ bool ChargerNode::begin_stage(model::SlotIndex slot, int color) {
 double ChargerNode::refresh_policy(std::size_t q) {
   const core::Policy& policy = stage_policies_[q];
   const std::size_t rows = policy.tasks.size();
-  const auto samples = static_cast<std::size_t>(engine_->samples());
+  const auto samples = static_cast<std::size_t>(engine_.samples());
   const std::size_t* row_col = stage_policy_col_.data() + stage_policy_row0_[q];
   double total = 0.0;
   for (std::size_t si = 0; si < stage_samples_.size(); ++si) {
@@ -167,16 +132,16 @@ double ChargerNode::refresh_policy(std::size_t q) {
     double inner = 0.0;
     for (std::size_t t = 0; t < rows; ++t) {
       const std::size_t idx = row_col[t] * samples + static_cast<std::size_t>(s);
-      const std::uint64_t version = engine_->sample_version(s, policy.tasks[t]);
+      const std::uint64_t version = engine_.sample_version(s, policy.tasks[t]);
       if (plan_versions_[idx] != version) {
-        plan_terms_[idx] = engine_->row_term(s, policy.tasks[t], policy.slot_energy[t]);
+        plan_terms_[idx] = engine_.row_term(s, policy.tasks[t], policy.slot_energy[t]);
         plan_versions_[idx] = version;
       }
       inner += plan_terms_[idx];
     }
     total += inner;
   }
-  return total / static_cast<double>(engine_->samples());
+  return total / static_cast<double>(engine_.samples());
 }
 
 void ChargerNode::recompute_best() {
@@ -255,11 +220,8 @@ void ChargerNode::receive(const Message& message) {
       // Apply the neighbor's committed tuple to the local view and
       // re-evaluate; the stage check matters because UPDATEs always concern
       // the current stage, but be defensive.
-      core::Policy policy;
-      policy.orientation = message.policy.orientation;
-      policy.tasks = message.policy.tasks;
-      policy.slot_energy = message.policy.slot_energy;
-      engine_->apply_remote_commit(message.sender, message.slot, policy, message.color);
+      engine_.commit(message.sender, message.slot, message.policy.tasks,
+                     message.policy.slot_energy, message.color);
       neighbor_decided_[message.sender] = true;
       if (!decided_ && message.slot == stage_slot_ && message.color == stage_color_) {
         recompute_best();
@@ -312,13 +274,9 @@ std::optional<Message> ChargerNode::force_commit() {
 
 Message ChargerNode::commit_current() {
   const core::Policy& policy = stage_policies_[static_cast<std::size_t>(best_policy_)];
-  // best_marginal_ came from an exactly-refreshed cache (recompute_best runs
-  // after every engine change), so the realized gain is already known and
-  // commit can skip re-evaluating it.
-  engine_->commit_no_gain(id_, stage_slot_, policy.tasks, policy.slot_energy,
-                          stage_color_);
+  engine_.commit(id_, stage_slot_, policy.tasks, policy.slot_energy, stage_color_);
   auto& per_color = selections_[stage_slot_];
-  per_color.resize(static_cast<std::size_t>(engine_->colors()));
+  per_color.resize(static_cast<std::size_t>(engine_.colors()));
   per_color[static_cast<std::size_t>(stage_color_)] = policy;
   previous_orientation_[static_cast<std::size_t>(stage_color_)] = policy.orientation;
   decided_ = true;
@@ -343,7 +301,7 @@ void ChargerNode::write_schedule(model::Schedule& schedule,
   for (const auto& [slot, per_color] : selections_) {
     if (slot < first_slot) continue;
     const int c = core::MarginalEngine::final_color(engine_config_.seed, id_, slot,
-                                                    engine_->colors());
+                                                    engine_.colors());
     if (static_cast<std::size_t>(c) < per_color.size() &&
         per_color[static_cast<std::size_t>(c)].has_value()) {
       schedule.assign(id_, slot, per_color[static_cast<std::size_t>(c)]->orientation);
@@ -351,8 +309,6 @@ void ChargerNode::write_schedule(model::Schedule& schedule,
   }
 }
 
-double ChargerNode::local_expected_value() const {
-  return engine_.has_value() ? engine_->expected_value() : 0.0;
-}
+double ChargerNode::local_expected_value() const { return engine_.expected_value(); }
 
 }  // namespace haste::dist

@@ -20,6 +20,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/objective.hpp"
@@ -29,9 +30,13 @@
 
 namespace haste::dist {
 
-/// One charger participating in the distributed negotiation.
+/// One charger participating in one re-plan's negotiation. A node lives for
+/// exactly one plan: the online driver builds a fresh fleet per re-plan.
 class ChargerNode {
  public:
+  /// Starts a plan over `known_tasks` (the tasks released so far) with the
+  /// given per-task already-harvested energies (may be empty = zeros).
+  ///
   /// Stage marginals are priced through a term cache shared by all stage
   /// policies, keyed by (plan column, sample) and refreshed lazily via the
   /// engine's per-(task, sample) versions — plus per-policy upper bounds for
@@ -40,15 +45,14 @@ class ChargerNode {
   /// Every announced marginal is bit-identical to the engine's from-scratch
   /// MarginalEngine::marginal of the same policy.
   ChargerNode(const model::Network& net, model::ChargerIndex id,
-              core::MarginalEngine::Config engine_config);
+              core::MarginalEngine::Config engine_config,
+              const std::vector<model::TaskIndex>& known_tasks,
+              std::span<const double> initial_energy);
 
   model::ChargerIndex id() const { return id_; }
 
-  /// Starts a new plan over `known_tasks` (the tasks released so far) with
-  /// the given per-task already-harvested energies (may be empty = zeros).
-  /// Returns the HELLO message announcing this node's coverable tasks.
-  Message begin_plan(const std::vector<model::TaskIndex>& known_tasks,
-                     std::span<const double> initial_energy);
+  /// The plan-start HELLO announcing this node's coverable known tasks.
+  const Message& hello() const { return hello_; }
 
   /// True if this node can cover at least one known task (otherwise it takes
   /// no part in the negotiation).
@@ -85,12 +89,9 @@ class ChargerNode {
   /// The planner's local expected utility estimate (diagnostics).
   double local_expected_value() const;
 
-  /// Evaluation counters of the current plan's engine (zeroed at every
-  /// begin_plan, since the engine is rebuilt per plan); all-zero before the
-  /// first plan. Lets the online driver charge row_term work to re-plans.
-  core::MarginalEngine::Stats engine_stats() const {
-    return engine_.has_value() ? engine_->stats() : core::MarginalEngine::Stats{};
-  }
+  /// Evaluation counters of this plan's engine. Lets the online driver
+  /// charge row_term work to re-plans.
+  core::MarginalEngine::Stats engine_stats() const { return engine_.stats(); }
 
  private:
   void recompute_best();
@@ -103,7 +104,8 @@ class ChargerNode {
   core::MarginalEngine::Config engine_config_;
 
   std::vector<core::DominantTaskSet> dominant_;
-  std::optional<core::MarginalEngine> engine_;
+  core::MarginalEngine engine_;
+  Message hello_;
 
   // What each neighbor announced in its HELLO: coverable known tasks.
   std::map<model::ChargerIndex, std::vector<model::TaskIndex>> neighbor_tasks_;
@@ -154,19 +156,6 @@ class ChargerNode {
 
   // Last committed orientation per color (switch-avoiding tie-break).
   std::vector<std::optional<double>> previous_orientation_;
-
-  // Cross-plan reuse caches, effective when the same node object serves
-  // consecutive re-plans (OnlineConfig::reuse_nodes). Both memoize pure
-  // functions, so hitting them is bit-identical to recomputing:
-  //   - dominant sets depend only on (net, id, known_tasks);
-  //   - a column's initial term row_term(0, task, delta) depends only on the
-  //     task's harvested base energy (delta is fixed per column — the
-  //     orientation- and slot-independent per-slot energy).
-  std::vector<model::TaskIndex> cached_known_;  // known_tasks of dominant_
-  bool dominant_cached_ = false;
-  std::vector<std::uint64_t> term_cache_base_;  // [task]: bit pattern of base
-  std::vector<double> term_cache_term_;         // [task]: cached initial term
-  std::vector<char> term_cache_valid_;          // [task]
 };
 
 }  // namespace haste::dist

@@ -36,11 +36,13 @@ void splice_plan(model::Schedule& target, const model::Schedule& source,
   }
 }
 
-/// Sums the per-plan engine evaluation counters over a fleet (each node's
-/// engine is rebuilt at begin_plan, so the totals are this re-plan's cost).
-core::MarginalEngine::Stats fleet_engine_stats(const std::vector<ChargerNode*>& nodes) {
+using Fleet = std::vector<std::unique_ptr<ChargerNode>>;
+
+/// Sums the engine evaluation counters over a fleet (each re-plan builds a
+/// fresh fleet, so the totals are this re-plan's cost).
+core::MarginalEngine::Stats fleet_engine_stats(const Fleet& fleet) {
   core::MarginalEngine::Stats total;
-  for (const ChargerNode* node : nodes) {
+  for (const auto& node : fleet) {
     const core::MarginalEngine::Stats stats = node->engine_stats();
     total.row_terms += stats.row_terms;
     total.marginals += stats.marginals;
@@ -49,94 +51,12 @@ core::MarginalEngine::Stats fleet_engine_stats(const std::vector<ChargerNode*>& 
   return total;
 }
 
-/// Wires the alive fleet onto a fresh bus (alive-restricted neighborhoods)
-/// and runs the plan-start HELLO round.
-void wire_and_hello(const model::Network& net, const std::vector<ChargerNode*>& nodes,
-                    const std::vector<bool>& alive,
-                    const std::vector<model::TaskIndex>& known,
-                    std::span<const double> initial_energy, BroadcastBus& bus) {
-  for (ChargerNode* node : nodes) {
-    bus.register_node(node->id(), [node](const Message& m) { node->receive(m); });
-    std::vector<model::ChargerIndex> neighbors;
-    for (model::ChargerIndex j : net.neighbors(node->id())) {
-      if (alive[static_cast<std::size_t>(j)]) neighbors.push_back(j);
-    }
-    bus.set_neighbors(node->id(), std::move(neighbors));
-  }
-  for (ChargerNode* node : nodes) {
-    bus.broadcast(node->begin_plan(known, initial_energy));
-  }
-  bus.flush_round();
-}
-
-/// Runs the ordered token protocol for one re-plan: each charger, in
-/// ascending ID order (one token round per color), greedily selects policies
-/// for all its slots and broadcasts the selections; receivers fold them into
-/// their local views. Equivalent in guarantee to the election protocol (the
-/// order of a locally greedy run does not affect its 1/2 bound), but with
-/// one broadcast per selection instead of repeated VALUE elections.
-/// `nodes` is the alive fleet in ascending id order, owned by the caller —
-/// persistent across re-plans under OnlineConfig::reuse_nodes.
-void negotiate_sequential(const model::Network& net, const OnlineConfig& config,
-                          const std::vector<ChargerNode*>& nodes,
-                          const std::vector<model::TaskIndex>& known,
-                          std::span<const double> initial_energy,
-                          model::SlotIndex plan_start, const std::vector<bool>& alive,
-                          model::Schedule& executed, OnlineResult& result) {
-  BroadcastBus bus;
-  wire_and_hello(net, nodes, alive, known, initial_energy, bus);
-
-  const int colors = std::max(1, config.colors);
-  std::vector<ChargerNode*> workers;
-  for (ChargerNode* node : nodes) {
-    if (node->has_work()) workers.push_back(node);
-  }
-
-  for (int c = 0; c < colors; ++c) {
-    for (ChargerNode* node : workers) {  // ascending id: nodes are built in order
-      ++result.rounds;                   // one token turn
-      for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
-        if (!node->begin_stage(k, c)) continue;
-        if (auto msg = node->force_commit()) bus.broadcast(*msg);
-      }
-      bus.flush_round();  // successors see this node's selections
-    }
-  }
-
-  for (ChargerNode* node : workers) node->write_schedule(executed, plan_start);
-  for (ChargerNode* node : nodes) {
-    if (!node->has_work()) {
-      for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
-        executed.clear(node->id(), k);
-      }
-    }
-  }
-  result.messages += bus.stats().broadcasts;
-  result.deliveries += bus.stats().deliveries;
-  result.message_bytes += bus.stats().bytes;
-}
-
-/// Runs the full HASTE negotiation for one re-plan. Writes the agreed plan
-/// into `executed` from `plan_start` on and accumulates counters. `nodes` is
-/// the alive fleet in ascending id order, owned by the caller.
-void negotiate_haste(const model::Network& net, const OnlineConfig& config,
-                     const std::vector<ChargerNode*>& nodes,
-                     const std::vector<model::TaskIndex>& known,
-                     std::span<const double> initial_energy,
-                     model::SlotIndex plan_start, const std::vector<bool>& alive,
-                     model::Schedule& executed, OnlineResult& result) {
-  BroadcastBus bus;
-  // Plan start: everyone announces its coverable known tasks (HELLO).
-  wire_and_hello(net, nodes, alive, known, initial_energy, bus);
-
-  // The engine's color count may have been clamped (colors < 1 -> 1).
-  const int colors = std::max(1, config.colors);
-
-  std::vector<ChargerNode*> workers;
-  for (ChargerNode* node : nodes) {
-    if (node->has_work()) workers.push_back(node);
-  }
-
+/// Election stages of Algorithm 3: for every (slot, color) stage of the
+/// plan, synchronous rounds in which undecided participants announce their
+/// best marginal (VALUE) and local maxima commit (UPDATE).
+void run_elections(const model::Network& net, int colors,
+                   const std::vector<ChargerNode*>& workers, model::SlotIndex plan_start,
+                   BroadcastBus& bus, std::uint64_t& rounds) {
   for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
     for (int c = 0; c < colors; ++c) {
       std::vector<ChargerNode*> participants;
@@ -156,7 +76,7 @@ void negotiate_haste(const model::Network& net, const OnlineConfig& config,
         if (++stage_rounds > round_cap) {
           throw std::logic_error("online negotiation failed to converge");
         }
-        ++result.rounds;
+        ++rounds;
         for (ChargerNode* node : participants) {
           if (auto msg = node->make_value_message()) bus.broadcast(*msg);
         }
@@ -168,11 +88,69 @@ void negotiate_haste(const model::Network& net, const OnlineConfig& config,
       }
     }
   }
+}
+
+/// The ordered token protocol (the global-order construction in Theorem
+/// 6.1's proof): each charger, in ascending ID order (one token round per
+/// color), greedily selects policies for all its slots and broadcasts the
+/// selections; receivers fold them into their local views. Equivalent in
+/// guarantee to the elections (the order of a locally greedy run does not
+/// affect its 1/2 bound), but with one broadcast per selection instead of
+/// repeated VALUE elections.
+void run_token_turns(const model::Network& net, int colors,
+                     const std::vector<ChargerNode*>& workers,
+                     model::SlotIndex plan_start, BroadcastBus& bus,
+                     std::uint64_t& rounds) {
+  for (int c = 0; c < colors; ++c) {
+    for (ChargerNode* node : workers) {  // ascending id: the fleet is built in order
+      ++rounds;                          // one token turn
+      for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
+        if (!node->begin_stage(k, c)) continue;
+        if (auto msg = node->force_commit()) bus.broadcast(*msg);
+      }
+      bus.flush_round();  // successors see this node's selections
+    }
+  }
+}
+
+/// Runs one re-plan's negotiation over `fleet` (the alive chargers in
+/// ascending id order): wires the fleet onto a fresh bus with
+/// alive-restricted neighborhoods, runs the HELLO round and the strategy's
+/// stage loop, writes the agreed plan into `executed` from `plan_start` on
+/// and accumulates the bus counters.
+void negotiate(const model::Network& net, const OnlineConfig& config, const Fleet& fleet,
+               model::SlotIndex plan_start, const std::vector<bool>& alive,
+               model::Schedule& executed, OnlineResult& result) {
+  BroadcastBus bus;
+  for (const auto& node : fleet) {
+    ChargerNode* receiver = node.get();
+    bus.register_node(node->id(), [receiver](const Message& m) { receiver->receive(m); });
+    std::vector<model::ChargerIndex> neighbors;
+    for (model::ChargerIndex j : net.neighbors(node->id())) {
+      if (alive[static_cast<std::size_t>(j)]) neighbors.push_back(j);
+    }
+    bus.set_neighbors(node->id(), std::move(neighbors));
+  }
+  // Plan start: everyone announces its coverable known tasks (HELLO).
+  for (const auto& node : fleet) bus.broadcast(node->hello());
+  bus.flush_round();
+
+  std::vector<ChargerNode*> workers;
+  for (const auto& node : fleet) {
+    if (node->has_work()) workers.push_back(node.get());
+  }
+  // The engine's color count may have been clamped (colors < 1 -> 1).
+  const int colors = std::max(1, config.colors);
+  if (config.strategy == OnlineStrategy::kHasteSequential) {
+    run_token_turns(net, colors, workers, plan_start, bus, result.rounds);
+  } else {
+    run_elections(net, colors, workers, plan_start, bus, result.rounds);
+  }
 
   for (ChargerNode* node : workers) node->write_schedule(executed, plan_start);
   // Chargers without work keep (persist) their previous orientation — their
   // schedule rows beyond plan_start are cleared so stale plans do not execute.
-  for (ChargerNode* node : nodes) {
+  for (const auto& node : fleet) {
     if (!node->has_work()) {
       for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
         executed.clear(node->id(), k);
@@ -196,8 +174,6 @@ OnlineSession::OnlineSession(const model::Network& net, const OnlineConfig& conf
     predictor_ = std::make_unique<predict::Predictor>(net_, config_.predictor);
   }
 }
-
-OnlineSession::~OnlineSession() = default;  // ChargerNode is complete here
 
 std::size_t OnlineSession::alive_chargers() const {
   return static_cast<std::size_t>(std::count(alive_.begin(), alive_.end(), true));
@@ -328,38 +304,21 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
 
   const bool negotiated = config_.strategy == OnlineStrategy::kHaste ||
                           config_.strategy == OnlineStrategy::kHasteSequential;
-  std::vector<std::unique_ptr<ChargerNode>> scratch_nodes;  // non-reuse fleet
-  std::vector<ChargerNode*> fleet;  // alive nodes, ascending id
+  Fleet fleet;  // alive chargers, ascending id
   if (negotiated) {
     const core::MarginalEngine::Config engine_config{config_.colors, config_.samples,
                                                      config_.seed};
-    if (config_.reuse_nodes) {
-      persistent_nodes_.resize(static_cast<std::size_t>(net_.charger_count()));
-      for (model::ChargerIndex i = 0; i < net_.charger_count(); ++i) {
-        if (!alive_[static_cast<std::size_t>(i)]) continue;
-        auto& slot = persistent_nodes_[static_cast<std::size_t>(i)];
-        if (slot == nullptr) {
-          slot = std::make_unique<ChargerNode>(net_, i, engine_config);
-        }
-        fleet.push_back(slot.get());
-      }
-    } else {
-      for (model::ChargerIndex i = 0; i < net_.charger_count(); ++i) {
-        if (!alive_[static_cast<std::size_t>(i)]) continue;
-        scratch_nodes.push_back(std::make_unique<ChargerNode>(net_, i, engine_config));
-        fleet.push_back(scratch_nodes.back().get());
-      }
+    for (model::ChargerIndex i = 0; i < net_.charger_count(); ++i) {
+      if (!alive_[static_cast<std::size_t>(i)]) continue;
+      fleet.push_back(
+          std::make_unique<ChargerNode>(net_, i, engine_config, known_, harvested));
     }
   }
 
   switch (config_.strategy) {
     case OnlineStrategy::kHaste:
-      negotiate_haste(net_, config_, fleet, known_, harvested, plan_start, alive_,
-                      result_.schedule, result_);
-      break;
     case OnlineStrategy::kHasteSequential:
-      negotiate_sequential(net_, config_, fleet, known_, harvested, plan_start, alive_,
-                           result_.schedule, result_);
+      negotiate(net_, config_, fleet, plan_start, alive_, result_.schedule, result_);
       break;
     case OnlineStrategy::kGreedyUtility: {
       const model::Schedule plan = baseline::schedule_greedy_utility_over(
@@ -402,7 +361,7 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
     double plan_value = std::numeric_limits<double>::quiet_NaN();
     if (negotiated) {
       plan_value = 0.0;
-      for (const ChargerNode* node : fleet) plan_value += node->local_expected_value();
+      for (const auto& node : fleet) plan_value += node->local_expected_value();
     }
     predictor_->on_replan(event_slot, plan_value, known_.size());
   }

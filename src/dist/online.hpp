@@ -21,8 +21,6 @@
 
 namespace haste::dist {
 
-class ChargerNode;
-
 /// Which per-charger policy rule the online driver runs.
 enum class OnlineStrategy {
   kHaste,            ///< Algorithm 3 (distributed TabularGreedy negotiation)
@@ -48,14 +46,6 @@ struct OnlineConfig {
   int samples = 16;        ///< color panel size (kHaste only)
   std::uint64_t seed = 1;  ///< shared seed (color panel + final sampling)
   std::vector<ChargerFailure> failures;  ///< failure injection (may be empty)
-  /// Keep each charger's ChargerNode alive across re-plans
-  /// (kHaste/kHasteSequential only) so its plan-level column store and
-  /// dominant-set extraction carry over between negotiations: columns whose
-  /// harvested base energy is unchanged since the previous plan skip their
-  /// re-pricing row_term, and an unchanged known-task set skips the dominant
-  /// re-extraction. Bit-identical to rebuilding the fleet per re-plan (the
-  /// reference path, `false`) — asserted by the differential tests.
-  bool reuse_nodes = true;
   /// Predictive cadence control (src/predict/): learn per-region arrival
   /// rates online and defer re-plans while predictions hold. Disabled by
   /// default — the reactive path is bit-identical to a predictor-free
@@ -106,15 +96,16 @@ struct OnlineResult {
 /// Events must arrive in non-decreasing slot order, with same-slot arrivals
 /// pushed before same-slot failures (the tie-break the event queue applies).
 /// Each event triggers at most one re-plan, whose effect is delayed by tau
-/// slots exactly as in the batch driver. Under OnlineConfig::reuse_nodes the
-/// per-charger negotiation state stays warm across events — the property
-/// that makes a long-lived serving session incremental rather than a replay.
+/// slots exactly as in the batch driver. A re-plan negotiates on a fresh
+/// fleet of per-charger nodes seeded with the energy the executed schedule
+/// harvests before the plan starts; what a session carries between events is
+/// that schedule, the known tasks and the alive set, so pushing events one at
+/// a time never replays the earlier negotiations.
 class OnlineSession {
  public:
   /// Binds to `net`, which must outlive the session. `config.failures` is
   /// ignored here — failures are injected via on_failure.
   OnlineSession(const model::Network& net, const OnlineConfig& config = {});
-  ~OnlineSession();
   OnlineSession(const OnlineSession&) = delete;
   OnlineSession& operator=(const OnlineSession&) = delete;
 
@@ -155,9 +146,6 @@ class OnlineSession {
   /// touches it (bit-identity with predictor-free builds).
   std::unique_ptr<predict::Predictor> predictor_;
   std::vector<bool> alive_;
-  /// Per-charger negotiation state under reuse_nodes (lazily constructed on
-  /// the first re-plan a charger is alive for); unused otherwise.
-  std::vector<std::unique_ptr<ChargerNode>> persistent_nodes_;
   OnlineResult result_;
   model::SlotIndex last_event_slot_ = 0;
   bool finished_ = false;

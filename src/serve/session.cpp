@@ -120,7 +120,6 @@ Json online_config_to_json(const dist::OnlineConfig& config) {
   json.set("colors", config.colors);
   json.set("samples", config.samples);
   json.set("seed", u64_json(config.seed));
-  json.set("reuse_nodes", config.reuse_nodes);
   Json predictor = Json::object();
   predictor.set("enabled", config.predictor.enabled);
   predictor.set("grid", config.predictor.grid);
@@ -138,13 +137,12 @@ Json online_config_to_json(const dist::OnlineConfig& config) {
 
 dist::OnlineConfig online_config_from_json(const Json& json) {
   reject_unknown_keys(json, "config",
-                      {"strategy", "colors", "samples", "seed", "reuse_nodes", "predictor"});
+                      {"strategy", "colors", "samples", "seed", "predictor"});
   dist::OnlineConfig config;
   config.strategy = parse_strategy(json.string_or("strategy", "haste"));
   config.colors = static_cast<int>(json.number_or("colors", config.colors));
   config.samples = static_cast<int>(json.number_or("samples", config.samples));
   if (json.contains("seed")) config.seed = u64_from(json.at("seed"));
-  config.reuse_nodes = json.bool_or("reuse_nodes", config.reuse_nodes);
   if (json.contains("predictor")) {
     const Json& predictor = json.at("predictor");
     reject_unknown_keys(predictor, "config.predictor",

@@ -574,6 +574,9 @@ class Transport {
   /// became available (e.g. no TCP worker has connected yet).
   virtual std::unique_ptr<WorkerLink> open(int timeout_ms) = 0;
   virtual const char* name() const = 0;
+  /// True while the transport's initial links are still on their way; the
+  /// runner holds the first dispatch until no transport is warming.
+  virtual bool warming() { return false; }
 };
 
 class SubprocessTransport : public Transport {
@@ -595,12 +598,14 @@ class TcpTransport : public Transport {
  public:
   TcpTransport(const std::string& address, int capacity,
                std::vector<std::string> spawn_argv, std::string auth_token,
-               std::size_t max_outbox_bytes)
+               std::size_t max_outbox_bytes, double connect_wait_seconds)
       : listener_(util::TcpListener::listen(address)),
         capacity_(capacity),
         spawn_argv_(std::move(spawn_argv)),
         auth_token_(std::move(auth_token)),
-        max_outbox_bytes_(max_outbox_bytes) {
+        max_outbox_bytes_(max_outbox_bytes),
+        warm_until_(Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                       std::chrono::duration<double>(connect_wait_seconds))) {
     if (!spawn_argv_.empty()) spawn_argv_.push_back(listener_.local_address());
     HASTE_LOG_INFO << "shard runner: listening for TCP workers on "
                    << listener_.local_address()
@@ -608,6 +613,22 @@ class TcpTransport : public Transport {
   }
   int capacity() const override { return capacity_; }
   const char* name() const override { return "tcp"; }
+
+  /// Loopback spawn mode: until each of the first capacity() spawns has
+  /// dialed in (admitted or rejected) or exited, bounded by the connect
+  /// wait. Dispatching earlier hands the whole run to whichever spawn
+  /// connects first, so how many workers a run used, and whether a
+  /// wrong-token spawn was ever rejected, came down to scheduling luck.
+  bool warming() override {
+    if (spawn_argv_.empty() || dialed_in_ >= capacity_ || Clock::now() > warm_until_) {
+      return false;
+    }
+    int exited = 0;
+    for (util::Subprocess& proc : spawned_) {
+      if (proc.try_wait()) ++exited;
+    }
+    return dialed_in_ + exited < capacity_;
+  }
 
   std::unique_ptr<WorkerLink> open(int timeout_ms) override {
     std::optional<util::TcpSocket> socket = listener_.accept(0);
@@ -629,6 +650,7 @@ class TcpTransport : public Transport {
       socket = listener_.accept(timeout_ms);
     }
     if (!socket) return nullptr;
+    ++dialed_in_;
     if (!auth_token_.empty() && !read_auth_token(*socket, auth_token_)) {
       // Close before any shard flows; the dropped TcpSocket sends FIN. A
       // spawned loopback worker that lands here exits on the close and is
@@ -650,6 +672,8 @@ class TcpTransport : public Transport {
   std::vector<std::string> spawn_argv_;
   std::string auth_token_;                 ///< "" = accept anyone
   std::size_t max_outbox_bytes_ = 0;       ///< 0 = unbounded
+  Clock::time_point warm_until_;           ///< warming() gives up here
+  int dialed_in_ = 0;                      ///< connections accepted so far
   std::vector<util::Subprocess> spawned_;  ///< destructor reaps leftovers
 };
 
@@ -686,7 +710,7 @@ class ShardRunner {
     if (tcp_enabled) {
       transports_.push_back(std::make_unique<TcpTransport>(
           options_.listen_address, options_.tcp_workers, options_.tcp_spawn_argv,
-          options_.auth_token, options_.max_outbox_bytes));
+          options_.auth_token, options_.max_outbox_bytes, options_.connect_wait_seconds));
     }
     shards_.reserve(specs.size());
     for (ShardSpec& spec : specs) {
@@ -740,7 +764,7 @@ class ShardRunner {
     drive_span.arg("shards", Json(static_cast<int>(shards_.size())));
     const Clock::time_point started = Clock::now();
     while (completed_ < shards_.size()) {
-      open_up_to_target();
+      if (open_up_to_target()) continue;  // initial links still dialing in
       assign_pending();
       reap_failed_workers();
       if (workers_.empty()) {
@@ -764,10 +788,14 @@ class ShardRunner {
     transports_.clear();
   }
 
-  void open_up_to_target() {
+  /// Returns true while some transport is still warming up, i.e. the
+  /// first dispatch must wait.
+  bool open_up_to_target() {
     // Open only as many links as there is pending work (capped at each
     // transport's pool share): a broken worker command then consumes shard
-    // attempts — a bounded budget — instead of respawning idle forever.
+    // attempts — a bounded budget — instead of respawning idle forever. A
+    // warming transport keeps opening until its initial links are in.
+    bool warming = false;
     std::size_t idle = 0;
     for (const WorkerSlot& worker : workers_) {
       if (!worker.dead && worker.shard < 0) ++idle;
@@ -778,10 +806,12 @@ class ShardRunner {
         if (!worker.dead && worker.origin == transport.get()) ++from_this;
       }
       while (from_this < static_cast<std::size_t>(transport->capacity()) &&
-             idle < pending_.size()) {
-        // An empty pool has nothing to poll, so waiting inside open() for a
-        // TCP worker to dial in is what paces the connect-wait loop.
-        std::unique_ptr<WorkerLink> link = transport->open(workers_.empty() ? 200 : 0);
+             (idle < pending_.size() || transport->warming())) {
+        // An empty pool or a warming transport has nothing to poll, so
+        // waiting inside open() for a TCP worker to dial in is what paces
+        // the connect-wait loop.
+        std::unique_ptr<WorkerLink> link =
+            transport->open(workers_.empty() || transport->warming() ? 200 : 0);
         if (!link) break;
         workers_.push_back(WorkerSlot{std::move(link), transport.get(), {}, -1, {},
                                       false, ++worker_serial_});
@@ -789,7 +819,9 @@ class ShardRunner {
         ++from_this;
         ++idle;
       }
+      warming = warming || transport->warming();
     }
+    return warming;
   }
 
   /// Total link slots across every transport — the denominator of the

@@ -120,8 +120,10 @@ struct ShardOptions {
   int tcp_workers = 0;  ///< TCP worker connections to admit into the pool
   /// Loopback convenience (and the ctest story): spawn this command with the
   /// actually-bound listen address appended once per TCP worker slot, e.g.
-  /// {"haste_shard", "--connect"}. Empty = wait for externally started
-  /// workers to dial in.
+  /// {"haste_shard", "--connect"}. The first shard is dispatched once every
+  /// initial spawn has dialed in (admitted or rejected) or exited, or after
+  /// connect_wait_seconds. Empty = wait for externally started workers to
+  /// dial in, dispatching as soon as the pool is non-empty.
   std::vector<std::string> tcp_spawn_argv;
   /// Give up if the pool stays empty this long — covers remote workers that
   /// never connect (a non-empty pool never waits on this).

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 namespace haste::util {
@@ -93,12 +94,20 @@ std::vector<std::string> Flags::names() const {
   return out;
 }
 
-std::vector<std::string> Flags::unknown(std::span<const std::string_view> known) const {
-  std::vector<std::string> out;
+bool Flags::reject_unknown(std::string_view program,
+                           std::span<const std::string_view> known) const {
+  std::vector<std::string> unknown;
   for (const auto& [name, value] : values_) {
-    if (std::find(known.begin(), known.end(), name) == known.end()) out.push_back(name);
+    if (std::find(known.begin(), known.end(), name) == known.end()) unknown.push_back(name);
   }
-  return out;
+  if (unknown.empty()) return false;
+  std::cerr << program << ": unknown flag";
+  for (const std::string& name : unknown) std::cerr << " --" << name;
+  std::cerr << " (known:";
+  if (known.empty()) std::cerr << " none";
+  for (std::string_view name : known) std::cerr << " --" << name;
+  std::cerr << ")\n";
+  return true;
 }
 
 }  // namespace haste::util

@@ -1,9 +1,9 @@
 // Tiny command-line flag parser shared by benches and examples.
 //
 // Supported syntax: `--name=value`, `--name value`, and boolean `--name`.
-// unknown() lists the flags a binary does not read, so it can reject them
-// with a helpful error instead of silently ignoring typos (haste_cli,
-// haste_serve and haste_shard do).
+// reject_unknown() lets a binary refuse the flags it does not read with a
+// one-line error instead of silently ignoring typos; every tool, figure
+// bench and example does.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +50,12 @@ class Flags {
   /// listings.
   std::vector<std::string> names() const;
 
-  /// Flags seen that are not in `known` (sorted), for rejecting typos.
-  std::vector<std::string> unknown(std::span<const std::string_view> known) const;
+  /// When a flag outside `known` was given, prints one line
+  /// "<program>: unknown flag --name ... (known: --a --b)" to stderr (the
+  /// unknown names sorted) and returns true; the caller then exits with
+  /// status 2 before doing work.
+  bool reject_unknown(std::string_view program,
+                      std::span<const std::string_view> known) const;
 
  private:
   std::map<std::string, std::string> values_;

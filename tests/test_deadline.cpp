@@ -4,7 +4,7 @@
 // optimum on deadline instances (the 1/2 guarantee must survive the plug-in
 // objective), the deduplicated (task, delta) partition columns vs per-policy
 // marginals, the production scheduler vs the scalar reference scheduler, and
-// online node-reuse sweeps — all bit-identical contracts.
+// the online driver vs its cache-free replay — all bit-identical contracts.
 //
 // Properties: tardiness decay monotone non-increasing, beta -> infinity
 // reproduces the base objective bit for bit, hard mode never emits a row for
@@ -175,16 +175,18 @@ TEST_P(DeadlineSweep, OnlineModeAndReuseBitIdentical) {
   const model::Network net = with_deadlines(
       base, rng, model::DeadlinePolicy{model::DeadlineDecay::kLinear, 2.0});
 
-  dist::OnlineConfig config;
-  config.colors = 2;
-  config.samples = 4;
-  config.reuse_nodes = false;
-  const dist::OnlineResult reference = dist::run_online(net, config);
-  config.reuse_nodes = true;
-  const dist::OnlineResult warm = dist::run_online(net, config);
-
-  expect_equal_schedules(reference.schedule, warm.schedule);
-  EXPECT_EQ(reference.evaluation.weighted_utility, warm.evaluation.weighted_utility);
+  // Tardy rows live in the nodes' overflow columns; the whole online run must
+  // match the cache-free replay of the driver. (The name predates the
+  // removal of the persistent-fleet option.)
+  for (const dist::OnlineStrategy strategy :
+       {dist::OnlineStrategy::kHaste, dist::OnlineStrategy::kHasteSequential}) {
+    dist::OnlineConfig config;
+    config.strategy = strategy;
+    config.colors = 2;
+    config.samples = 4;
+    testing_helpers::expect_matches_reference_online(
+        dist::run_online(net, config), testing_helpers::reference_online(net, config));
+  }
 }
 
 TEST_P(DeadlineSweep, PrefixEnergyAgreesWithFullEvaluation) {

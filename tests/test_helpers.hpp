@@ -3,7 +3,10 @@
 // ScalarEngine (a replay of MarginalEngine that prices every row through
 // Network::weighted_task_utility), reference_tabular_greedy (Algorithm 2
 // over that replay) and reference_global_greedy (global greedy over that
-// replay, eager or lazy).
+// replay, eager or lazy), plus the cache-free online oracles: ShadowCharger
+// (one negotiation node that prices every stage policy from scratch) and
+// reference_online (Algorithm 3's driver replayed over a ShadowCharger
+// fleet).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -11,14 +14,22 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <memory>
+#include <optional>
 #include <queue>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/dominant_sets.hpp"
+#include "core/evaluate.hpp"
 #include "core/global_greedy.hpp"
 #include "core/objective.hpp"
 #include "core/offline.hpp"
+#include "dist/online.hpp"
+#include "dist/protocol.hpp"
 #include "geom/angle.hpp"
 #include "model/network.hpp"
 #include "model/schedule.hpp"
@@ -112,13 +123,13 @@ class ScalarEngine {
     return total / static_cast<double>(config_.samples);
   }
 
-  double commit(model::ChargerIndex i, model::SlotIndex k,
-                std::span<const model::TaskIndex> tasks, std::span<const double> delta,
-                int c) {
-    double total = 0.0;
+  /// Adds the policy's energies to the matching samples; prices nothing,
+  /// like MarginalEngine::commit.
+  void commit(model::ChargerIndex i, model::SlotIndex k,
+              std::span<const model::TaskIndex> tasks, std::span<const double> delta,
+              int c) {
     for (int s = 0; s < config_.samples; ++s) {
       if (!matches(s, i, k, c)) continue;
-      total += gain_in_sample(s, tasks, delta);
       for (std::size_t t = 0; t < tasks.size(); ++t) {
         const std::size_t idx = sample_offset(s) + static_cast<std::size_t>(tasks[t]);
         const double before = energy_[idx];
@@ -130,7 +141,6 @@ class ScalarEngine {
         energy_[idx] = after;
       }
     }
-    return total / static_cast<double>(config_.samples);
   }
 
   double expected_value() const {
@@ -340,6 +350,337 @@ inline core::GlobalGreedyResult reference_global_greedy(
   return result;
 }
 
+/// Test-side oracle for one negotiation node (dist::ChargerNode): a
+/// MarginalEngine fed the same local and remote commits as the node, pricing
+/// every stage policy from scratch with MarginalEngine::marginal and folding
+/// them with the node's switch-avoiding tie-break. No caches, no lazy bounds.
+class ShadowCharger {
+ public:
+  static constexpr double kTieSlack = 1e-12;  // the node's tie band
+
+  ShadowCharger(const model::Network& net, model::ChargerIndex id,
+                core::MarginalEngine::Config config,
+                const std::vector<model::TaskIndex>& known_tasks,
+                std::span<const double> initial_energy = {})
+      : net_(net),
+        id_(id),
+        engine_(net, config, initial_energy),
+        dominant_(core::extract_dominant_sets(net, id, known_tasks)),
+        previous_(static_cast<std::size_t>(engine_.colors())) {}
+
+  model::ChargerIndex id() const { return id_; }
+  bool has_work() const { return !dominant_.empty(); }
+
+  /// The stage's policies (empty = the node does not participate).
+  std::vector<core::Policy> policies(model::SlotIndex k) const {
+    return core::make_slot_policies(net_, id_, dominant_, k);
+  }
+
+  /// The policy the node must hold as its best at stage (k, c), or nullopt
+  /// when no policy has a positive marginal; `marginal` receives its value
+  /// (0 when there is none).
+  std::optional<core::Policy> best(model::SlotIndex k, int c, double& marginal) const {
+    const std::optional<double>& previous = previous_[static_cast<std::size_t>(c)];
+    std::optional<core::Policy> best;
+    double best_marginal = 0.0;
+    bool best_is_previous = false;
+    for (const core::Policy& policy : policies(k)) {
+      const double m = engine_.marginal(id_, k, policy, c);
+      const bool is_previous = previous.has_value() && policy.orientation == *previous;
+      const bool better =
+          !best.has_value()
+              ? m > 0.0
+              : m > best_marginal * (1.0 + kTieSlack) + kTieSlack ||
+                    (is_previous && !best_is_previous &&
+                     m >= best_marginal * (1.0 - kTieSlack) - kTieSlack);
+      if (better) {
+        best = policy;
+        best_marginal = m;
+        best_is_previous = is_previous;
+      }
+    }
+    marginal = best_marginal;
+    return best;
+  }
+
+  /// Selects `policy` for stage (k, c): commits it locally and records it.
+  void commit(model::SlotIndex k, int c, const core::Policy& policy) {
+    engine_.commit(id_, k, policy, c);
+    previous_[static_cast<std::size_t>(c)] = policy.orientation;
+    selections_[{k, c}] = policy.orientation;
+  }
+
+  /// Folds a neighbor's UPDATE into the local view.
+  void apply_remote(const dist::Message& update) {
+    engine_.commit(update.sender, update.slot, update.policy.tasks,
+                   update.policy.slot_energy, update.color);
+  }
+
+  /// Orientation selected for stage (k, c), if any.
+  std::optional<double> selection(model::SlotIndex k, int c) const {
+    const auto it = selections_.find({k, c});
+    if (it == selections_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  int colors() const { return engine_.colors(); }
+  double expected_value() const { return engine_.expected_value(); }
+
+ private:
+  const model::Network& net_;
+  model::ChargerIndex id_;
+  core::MarginalEngine engine_;
+  std::vector<core::DominantTaskSet> dominant_;
+  std::vector<std::optional<double>> previous_;  // last committed orientation per color
+  std::map<std::pair<model::SlotIndex, int>, double> selections_;
+};
+
+/// Cache-free replay of dist::run_online for the negotiated strategies
+/// (kHaste elections and the kHasteSequential token protocol) with the
+/// predictor off. Same event order (release batches, then injected failures
+/// on slot ties), tau-delayed plan start, harvested-energy seeding, HELLO
+/// round, participation rule, election and token loops, bus ledger and
+/// schedule splice, over a fresh ShadowCharger fleet per re-plan. Fills the
+/// schedule, evaluation, messages, deliveries, message_bytes, rounds,
+/// negotiations and the per-re-plan log of the result; the effort counters
+/// (row_evaluations, each record's row_evals) stay zero.
+inline dist::OnlineResult reference_online(const model::Network& net,
+                                           const dist::OnlineConfig& config) {
+  if (config.predictor.enabled ||
+      (config.strategy != dist::OnlineStrategy::kHaste &&
+       config.strategy != dist::OnlineStrategy::kHasteSequential)) {
+    throw std::invalid_argument("reference_online: negotiated, predictor-off runs only");
+  }
+  const core::MarginalEngine::Config engine_config{config.colors, config.samples,
+                                                   config.seed};
+  const auto n = static_cast<std::size_t>(net.charger_count());
+  dist::OnlineResult result;
+  result.schedule = model::Schedule(net.charger_count(), net.horizon());
+  std::vector<bool> alive(n, true);
+  std::vector<model::TaskIndex> known;
+
+  // One broadcast: a message, its wire bytes, and one delivery per alive
+  // neighbor of the sender.
+  const auto send = [&](const dist::Message& message) {
+    ++result.messages;
+    result.message_bytes += message.wire_size();
+    for (model::ChargerIndex j : net.neighbors(message.sender)) {
+      if (alive[static_cast<std::size_t>(j)]) ++result.deliveries;
+    }
+  };
+
+  const auto replan = [&](model::SlotIndex event_slot, dist::ReplanTrigger trigger) {
+    const model::SlotIndex plan_start =
+        std::min<model::SlotIndex>(event_slot + net.time().tau, net.horizon());
+    if (plan_start >= net.horizon() || known.empty()) return;
+    ++result.negotiations;
+    dist::NegotiationRecord record;
+    record.trigger = trigger;
+    record.event_slot = event_slot;
+    record.plan_start = plan_start;
+    record.known_tasks = known.size();
+    record.alive_chargers =
+        static_cast<std::size_t>(std::count(alive.begin(), alive.end(), true));
+    const std::uint64_t messages_before = result.messages;
+    const std::uint64_t rounds_before = result.rounds;
+    const std::vector<double> harvested =
+        core::prefix_task_energy(net, result.schedule, plan_start);
+
+    std::vector<std::unique_ptr<ShadowCharger>> fleet;  // alive, ascending id
+    std::vector<ShadowCharger*> by_id(n, nullptr);
+    std::vector<std::vector<model::TaskIndex>> coverable(n);  // HELLO payloads
+    for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
+      if (!alive[static_cast<std::size_t>(i)]) continue;
+      fleet.push_back(
+          std::make_unique<ShadowCharger>(net, i, engine_config, known, harvested));
+      by_id[static_cast<std::size_t>(i)] = fleet.back().get();
+      dist::Message hello;
+      hello.sender = i;
+      hello.command = dist::Command::kHello;
+      for (model::TaskIndex j : known) {
+        if (net.potential_power(i, j) > 0.0) hello.policy.tasks.push_back(j);
+      }
+      coverable[static_cast<std::size_t>(i)] = hello.policy.tasks;
+      send(hello);
+    }
+    std::vector<ShadowCharger*> workers;
+    for (const auto& shadow : fleet) {
+      if (shadow->has_work()) workers.push_back(shadow.get());
+    }
+    const int colors = fleet.empty() ? 1 : fleet.front()->colors();
+
+    // A neighbor takes part in stage `k` iff its HELLO lists a task that is
+    // active at k and not dropped by the deadline discount.
+    const auto participates = [&](model::ChargerIndex j, model::SlotIndex k) {
+      if (by_id[static_cast<std::size_t>(j)] == nullptr) return false;
+      for (model::TaskIndex t : coverable[static_cast<std::size_t>(j)]) {
+        if (net.tasks()[static_cast<std::size_t>(t)].active(k) &&
+            net.tardiness_factor(t, k) > 0.0) {
+          return true;
+        }
+      }
+      return false;
+    };
+    const auto select = [&](ShadowCharger& shadow, model::SlotIndex k, int c,
+                            const core::Policy& policy, double marginal) {
+      shadow.commit(k, c, policy);
+      dist::Message update;
+      update.sender = shadow.id();
+      update.slot = k;
+      update.color = c;
+      update.command = dist::Command::kUpdate;
+      update.marginal = marginal;
+      update.policy.orientation = policy.orientation;
+      update.policy.tasks = policy.tasks;
+      update.policy.slot_energy = policy.slot_energy;
+      send(update);
+      return update;
+    };
+    // Delivers a round's UPDATEs in send order to the senders' alive neighbors.
+    const auto deliver = [&](const std::vector<dist::Message>& updates) {
+      for (const dist::Message& update : updates) {
+        for (model::ChargerIndex j : net.neighbors(update.sender)) {
+          if (ShadowCharger* receiver = by_id[static_cast<std::size_t>(j)]) {
+            receiver->apply_remote(update);
+          }
+        }
+      }
+    };
+
+    if (config.strategy == dist::OnlineStrategy::kHasteSequential) {
+      for (int c = 0; c < colors; ++c) {
+        for (ShadowCharger* worker : workers) {
+          ++result.rounds;
+          std::vector<dist::Message> updates;
+          for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
+            double marginal = 0.0;
+            if (const auto best = worker->best(k, c, marginal)) {
+              updates.push_back(select(*worker, k, c, *best, marginal));
+            }
+          }
+          deliver(updates);
+        }
+      }
+    } else {
+      for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
+        for (int c = 0; c < colors; ++c) {
+          std::vector<ShadowCharger*> participants;
+          for (ShadowCharger* worker : workers) {
+            if (!worker->policies(k).empty()) participants.push_back(worker);
+          }
+          std::vector<bool> decided(participants.size(), false);
+          // What the stage's broadcasts told every neighbor: the latest
+          // VALUE per sender, and whether the sender is out of the stage
+          // (announced <= 0 or committed).
+          std::vector<std::optional<double>> value(n);
+          std::vector<bool> out(n, false);
+          std::size_t stage_rounds = 0;
+          while (std::find(decided.begin(), decided.end(), false) != decided.end()) {
+            if (++stage_rounds > participants.size() + 3) {
+              throw std::logic_error("reference_online: stage failed to converge");
+            }
+            ++result.rounds;
+            std::vector<dist::Message> values;
+            for (std::size_t p = 0; p < participants.size(); ++p) {
+              if (decided[p]) continue;
+              double marginal = 0.0;
+              const bool positive = participants[p]->best(k, c, marginal).has_value();
+              dist::Message announce;
+              announce.sender = participants[p]->id();
+              announce.slot = k;
+              announce.color = c;
+              announce.marginal = positive ? marginal : 0.0;
+              send(announce);
+              values.push_back(announce);
+              if (!positive) decided[p] = true;
+            }
+            for (const dist::Message& announce : values) {
+              const auto sender = static_cast<std::size_t>(announce.sender);
+              value[sender] = announce.marginal;
+              if (announce.marginal <= 0.0) out[sender] = true;
+            }
+            std::vector<dist::Message> updates;
+            for (std::size_t p = 0; p < participants.size(); ++p) {
+              if (decided[p]) continue;
+              ShadowCharger& shadow = *participants[p];
+              double marginal = 0.0;
+              const std::optional<core::Policy> best = shadow.best(k, c, marginal);
+              if (!best.has_value()) continue;
+              bool local_maximum = true;
+              for (model::ChargerIndex j : net.neighbors(shadow.id())) {
+                const auto jj = static_cast<std::size_t>(j);
+                if (!participates(j, k) || out[jj]) continue;
+                if (!value[jj].has_value() || *value[jj] > marginal ||
+                    (*value[jj] == marginal && j < shadow.id())) {
+                  local_maximum = false;
+                  break;
+                }
+              }
+              if (!local_maximum) continue;
+              decided[p] = true;
+              updates.push_back(select(shadow, k, c, *best, marginal));
+            }
+            deliver(updates);
+            for (const dist::Message& update : updates) {
+              out[static_cast<std::size_t>(update.sender)] = true;
+            }
+          }
+        }
+      }
+    }
+
+    // Splice: every alive charger's plan replaces its rows from plan_start
+    // on, with the final color's selection where it has one.
+    for (const auto& shadow : fleet) {
+      for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
+        result.schedule.clear(shadow->id(), k);
+        const int c = core::MarginalEngine::final_color(config.seed, shadow->id(), k,
+                                                        shadow->colors());
+        if (const auto orientation = shadow->selection(k, c)) {
+          result.schedule.assign(shadow->id(), k, *orientation);
+        }
+      }
+    }
+    record.messages = result.messages - messages_before;
+    record.rounds = result.rounds - rounds_before;
+    result.log.push_back(record);
+  };
+
+  // Events: release batches in slot order, then the injected failures;
+  // a stable sort by slot keeps arrivals ahead of failures on ties.
+  struct Event {
+    model::SlotIndex slot;
+    model::ChargerIndex failed;  // -1 for an arrival batch
+    std::vector<model::TaskIndex> tasks;
+  };
+  std::map<model::SlotIndex, std::vector<model::TaskIndex>> batches;
+  for (model::TaskIndex j = 0; j < net.task_count(); ++j) {
+    batches[net.tasks()[static_cast<std::size_t>(j)].release_slot].push_back(j);
+  }
+  std::vector<Event> events;
+  for (const auto& [slot, batch] : batches) events.push_back({slot, -1, batch});
+  for (const dist::ChargerFailure& failure : config.failures) {
+    if (failure.charger >= 0 && failure.charger < net.charger_count()) {
+      events.push_back({failure.slot, failure.charger, {}});
+    }
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const Event& a, const Event& b) { return a.slot < b.slot; });
+  for (const Event& event : events) {
+    if (event.failed < 0) {
+      known.insert(known.end(), event.tasks.begin(), event.tasks.end());
+      std::sort(known.begin(), known.end());
+      replan(event.slot, dist::ReplanTrigger::kArrival);
+    } else if (alive[static_cast<std::size_t>(event.failed)]) {
+      alive[static_cast<std::size_t>(event.failed)] = false;
+      result.schedule.disable_from(event.failed, event.slot);
+      replan(event.slot, dist::ReplanTrigger::kFailure);
+    }
+  }
+  result.evaluation = core::evaluate_schedule(net, result.schedule);
+  return result;
+}
+
 /// Asserts two schedules assign every (charger, slot) identically.
 inline void expect_identical_schedules(const model::Schedule& a, const model::Schedule& b) {
   ASSERT_EQ(a.charger_count(), b.charger_count());
@@ -348,6 +689,35 @@ inline void expect_identical_schedules(const model::Schedule& a, const model::Sc
     for (model::SlotIndex k = 0; k < a.horizon(); ++k) {
       EXPECT_EQ(a.assignment(i, k), b.assignment(i, k)) << "charger " << i << " slot " << k;
     }
+  }
+}
+
+/// Asserts an online run matches reference_online's replay: schedule,
+/// evaluation, the whole bus ledger and every re-plan record except its
+/// effort counter.
+inline void expect_matches_reference_online(const dist::OnlineResult& actual,
+                                            const dist::OnlineResult& reference) {
+  expect_identical_schedules(actual.schedule, reference.schedule);
+  EXPECT_EQ(actual.evaluation.weighted_utility, reference.evaluation.weighted_utility);
+  EXPECT_EQ(actual.evaluation.relaxed_weighted_utility,
+            reference.evaluation.relaxed_weighted_utility);
+  EXPECT_EQ(actual.evaluation.switches, reference.evaluation.switches);
+  EXPECT_EQ(actual.messages, reference.messages);
+  EXPECT_EQ(actual.deliveries, reference.deliveries);
+  EXPECT_EQ(actual.message_bytes, reference.message_bytes);
+  EXPECT_EQ(actual.rounds, reference.rounds);
+  EXPECT_EQ(actual.negotiations, reference.negotiations);
+  ASSERT_EQ(actual.log.size(), reference.log.size());
+  for (std::size_t r = 0; r < actual.log.size(); ++r) {
+    const dist::NegotiationRecord& a = actual.log[r];
+    const dist::NegotiationRecord& b = reference.log[r];
+    EXPECT_EQ(a.trigger, b.trigger) << "record " << r;
+    EXPECT_EQ(a.event_slot, b.event_slot) << "record " << r;
+    EXPECT_EQ(a.plan_start, b.plan_start) << "record " << r;
+    EXPECT_EQ(a.known_tasks, b.known_tasks) << "record " << r;
+    EXPECT_EQ(a.alive_chargers, b.alive_chargers) << "record " << r;
+    EXPECT_EQ(a.messages, b.messages) << "record " << r;
+    EXPECT_EQ(a.rounds, b.rounds) << "record " << r;
   }
 }
 

@@ -226,9 +226,11 @@ TEST(IncrementalEngine, StatsCountRowTermsAndMarginals) {
   engine.marginal(partition.charger, partition.slot, partition.policies.front(), 0);
   EXPECT_EQ(engine.stats().marginals, 1u);
   engine.row_term(0, partition.policies.front().tasks.front(), 1.0);
-  EXPECT_GT(engine.stats().row_terms, 0u);
+  const std::uint64_t row_terms = engine.stats().row_terms;
+  EXPECT_GT(row_terms, 0u);
   engine.commit(partition.charger, partition.slot, partition.policies.front(), 0);
   EXPECT_EQ(engine.stats().commits, 1u);
+  EXPECT_EQ(engine.stats().row_terms, row_terms);  // commits price nothing
 }
 
 TEST(IncrementalEngine, StrictEvaluationSavingsOnDenseInstance) {

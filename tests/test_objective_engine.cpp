@@ -137,13 +137,15 @@ TEST(MarginalEngine, CommitReturnsRealizedMarginal) {
   const model::Network net = random_network(rng, 2, 4, 3);
   const auto partitions = build_partitions(net);
   if (partitions.empty()) GTEST_SKIP();
+  // commit() prices nothing: the realized gain is the marginal taken just
+  // before it, which must be the increase of the expected value.
   MarginalEngine engine(net, {1, 1, 7});
   const auto& partition = partitions[0];
   const double predicted =
       engine.marginal(partition.charger, partition.slot, partition.policies[0], 0);
-  const double realized =
-      engine.commit(partition.charger, partition.slot, partition.policies[0], 0);
-  EXPECT_DOUBLE_EQ(predicted, realized);
+  const double before = engine.expected_value();
+  engine.commit(partition.charger, partition.slot, partition.policies[0], 0);
+  EXPECT_NEAR(predicted, engine.expected_value() - before, 1e-12);
 }
 
 TEST(MarginalEngine, MarginalsShrinkAfterCommit) {
@@ -197,11 +199,14 @@ TEST(MarginalEngine, ColorsPartitionTheSamples) {
   MarginalEngine multi(net, {4, 64, 11});
   double total = 0.0;
   for (int c = 0; c < 4; ++c) {
-    total += multi.commit(partition.charger, partition.slot, policy, c);
+    total += multi.marginal(partition.charger, partition.slot, policy, c);
+    multi.commit(partition.charger, partition.slot, policy, c);
   }
   MarginalEngine exact(net, {1, 1, 11});
-  const double expected = exact.commit(partition.charger, partition.slot, policy, 0);
+  const double expected = exact.marginal(partition.charger, partition.slot, policy, 0);
+  exact.commit(partition.charger, partition.slot, policy, 0);
   EXPECT_NEAR(total, expected, 1e-9);
+  EXPECT_NEAR(multi.expected_value(), exact.expected_value(), 1e-9);
 }
 
 TEST(MarginalEngine, ClampsDegenerateConfig) {

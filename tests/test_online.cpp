@@ -155,6 +155,12 @@ TEST(Online, StaggeredArrivalsTriggerMultipleNegotiations) {
   config.colors = 1;
   const OnlineResult result = run_online(net, config);
   EXPECT_EQ(result.negotiations, release_slots.size());
+  ASSERT_EQ(result.log.size(), result.negotiations);
+  // The per-re-plan row_evals ledger sums to the run's total.
+  std::uint64_t logged_row_evals = 0;
+  for (const NegotiationRecord& record : result.log) logged_row_evals += record.row_evals;
+  EXPECT_EQ(logged_row_evals, result.row_evaluations);
+  EXPECT_GT(result.row_evaluations, 0u);
 }
 
 TEST(Online, NoTasksMeansSilence) {
@@ -197,59 +203,6 @@ TEST(Online, HasteBeatsBaselinesOnAverage) {
   }
   EXPECT_GE(haste, greedy_utility - 0.05);
   EXPECT_GE(haste, greedy_cover - 0.05);
-}
-
-TEST(Online, NodeReuseIsBitIdenticalAndCheaper) {
-  // reuse_nodes keeps each ChargerNode alive across re-plans so unchanged
-  // columns skip their re-pricing row_term and an unchanged known-task set
-  // skips dominant re-extraction. The acceptance contract: bit-identical
-  // schedules to the rebuild-per-re-plan reference, with strictly fewer
-  // row_term evaluations whenever there is more than one re-plan.
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    util::Rng rng(seed + 200);
-    const model::Network net = random_network(rng, 4, 12, 5);
-
-    OnlineConfig reuse_config;
-    reuse_config.colors = 2;
-    reuse_config.samples = 8;
-    reuse_config.reuse_nodes = true;
-    const OnlineResult reuse = run_online(net, reuse_config);
-
-    OnlineConfig rebuild_config = reuse_config;
-    rebuild_config.reuse_nodes = false;
-    const OnlineResult rebuild = run_online(net, rebuild_config);
-
-    EXPECT_EQ(reuse.evaluation.weighted_utility, rebuild.evaluation.weighted_utility)
-        << "seed " << seed;
-    EXPECT_EQ(reuse.messages, rebuild.messages) << "seed " << seed;
-    EXPECT_EQ(reuse.rounds, rebuild.rounds) << "seed " << seed;
-    ASSERT_EQ(reuse.schedule.charger_count(), rebuild.schedule.charger_count());
-    ASSERT_EQ(reuse.schedule.horizon(), rebuild.schedule.horizon());
-    for (int i = 0; i < reuse.schedule.charger_count(); ++i) {
-      for (model::SlotIndex k = 0; k < reuse.schedule.horizon(); ++k) {
-        ASSERT_EQ(reuse.schedule.assignment(i, k), rebuild.schedule.assignment(i, k))
-            << "seed " << seed << " charger " << i << " slot " << k;
-      }
-    }
-
-    // The row_evals ledger must be populated and consistent on both paths.
-    auto logged_row_evals = [](const OnlineResult& result) {
-      std::uint64_t total = 0;
-      for (const NegotiationRecord& record : result.log) total += record.row_evals;
-      return total;
-    };
-    EXPECT_EQ(logged_row_evals(reuse), reuse.row_evaluations) << "seed " << seed;
-    EXPECT_EQ(logged_row_evals(rebuild), rebuild.row_evaluations) << "seed " << seed;
-    EXPECT_GT(rebuild.row_evaluations, 0u) << "seed " << seed;
-
-    if (reuse.negotiations >= 2) {
-      // Columns re-priced in re-plan r >= 2 whose base energy is unchanged
-      // are exactly the savings; any multi-re-plan run has some.
-      EXPECT_LT(reuse.row_evaluations, rebuild.row_evaluations) << "seed " << seed;
-    } else {
-      EXPECT_EQ(reuse.row_evaluations, rebuild.row_evaluations) << "seed " << seed;
-    }
-  }
 }
 
 // --- OnlineSession: the streaming (push-event) form of run_online ------------

@@ -1,8 +1,8 @@
 // Predictive-scheduler battery (src/predict/ + its dist/serve threading).
 //
-// Differentials: the predictor-off online driver against itself across
-// kernels on/off and reuse_nodes on/off (the reactive path must stay
-// bit-identical to a predictor-free build), the enabled-but-leashed
+// Differentials: the predictor-off online driver against the cache-free
+// replay of test_helpers.hpp (the reactive path must stay bit-identical to a
+// predictor-free build), the enabled-but-leashed
 // degenerate case (max_level = 0) against predictor-off on the FULL result —
 // schedule bits, utility doubles, and every NegotiationRecord counter
 // including row_evals — and a serve::Session replay against the local
@@ -56,8 +56,7 @@ void expect_equal_schedules(const model::Schedule& a, const model::Schedule& b) 
 /// ledger itself is deliberately NOT compared — an enabled-but-leashed
 /// predictor still observes arrivals (that's its job), it just must not
 /// change anything the scheduler does.
-void expect_equal_results(const dist::OnlineResult& a, const dist::OnlineResult& b,
-                          bool compare_row_evals = true) {
+void expect_equal_results(const dist::OnlineResult& a, const dist::OnlineResult& b) {
   expect_equal_schedules(a.schedule, b.schedule);
   EXPECT_EQ(a.evaluation.weighted_utility, b.evaluation.weighted_utility);
   EXPECT_EQ(a.evaluation.relaxed_weighted_utility, b.evaluation.relaxed_weighted_utility);
@@ -67,7 +66,7 @@ void expect_equal_results(const dist::OnlineResult& a, const dist::OnlineResult&
   EXPECT_EQ(a.message_bytes, b.message_bytes);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.negotiations, b.negotiations);
-  if (compare_row_evals) EXPECT_EQ(a.row_evaluations, b.row_evaluations);
+  EXPECT_EQ(a.row_evaluations, b.row_evaluations);
   EXPECT_EQ(a.replans_skipped, b.replans_skipped);
   ASSERT_EQ(a.log.size(), b.log.size());
   for (std::size_t r = 0; r < a.log.size(); ++r) {
@@ -78,9 +77,7 @@ void expect_equal_results(const dist::OnlineResult& a, const dist::OnlineResult&
     EXPECT_EQ(a.log[r].alive_chargers, b.log[r].alive_chargers) << "record " << r;
     EXPECT_EQ(a.log[r].messages, b.log[r].messages) << "record " << r;
     EXPECT_EQ(a.log[r].rounds, b.log[r].rounds) << "record " << r;
-    if (compare_row_evals) {
-      EXPECT_EQ(a.log[r].row_evals, b.log[r].row_evals) << "record " << r;
-    }
+    EXPECT_EQ(a.log[r].row_evals, b.log[r].row_evals) << "record " << r;
   }
 }
 
@@ -289,28 +286,22 @@ TEST(Cadence, SurpriseAndShortfallResetTrust) {
 
 TEST(OnlinePredict, DisabledPredictorBitIdenticalAcrossKernelsAndReuse) {
   // The reactive path must not depend on the predictor's existence: with
-  // predictor.enabled = false (the default), fresh and persistent node
-  // fleets produce the same bits. This is the predictor-off half of the
-  // online_predict_differential contract; the cross-build half (identical
-  // to a pre-predictor checkout) follows because this path never constructs
-  // a predict:: object. (The name predates the removal of the runtime
-  // kernel toggle.)
+  // predictor.enabled = false (the default), the run reproduces the
+  // predictor-free, cache-free replay of the driver in test_helpers.hpp bit
+  // for bit. This is the predictor-off half of the online_predict_differential
+  // contract; the cross-build half (identical to a pre-predictor checkout)
+  // follows because this path never constructs a predict:: object. (The name
+  // predates the removal of the runtime kernel toggle and of the
+  // persistent-fleet option.)
   const model::Network net = bursty_network(small_bursty_config(), 21);
-  std::vector<dist::OnlineResult> results;  // reuse off, reuse on
-  for (const bool reuse : {false, true}) {
-    dist::OnlineConfig config;
-    config.colors = 2;
-    config.samples = 4;
-    config.reuse_nodes = reuse;
-    results.push_back(dist::run_online(net, config));
-    EXPECT_EQ(results.back().replans_skipped, 0u);
-    EXPECT_EQ(results.back().predictor, predict::PredictorStats{});
-  }
-  // Reuse on vs off: identical bits and message ledger, but the persistent
-  // column store legitimately SKIPS re-pricing row_terms for columns whose
-  // base energy is unchanged — row-eval counts are exempt by contract.
-  expect_equal_results(results[1], results[0], /*compare_row_evals=*/false);
-  EXPECT_LE(results[1].row_evaluations, results[0].row_evaluations);
+  dist::OnlineConfig config;
+  config.colors = 2;
+  config.samples = 4;
+  const dist::OnlineResult result = dist::run_online(net, config);
+  EXPECT_EQ(result.replans_skipped, 0u);
+  EXPECT_EQ(result.predictor, predict::PredictorStats{});
+  testing_helpers::expect_matches_reference_online(
+      result, testing_helpers::reference_online(net, config));
 }
 
 TEST(OnlinePredict, LevelZeroNoPrewarmIsFullPassThrough) {

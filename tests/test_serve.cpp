@@ -495,14 +495,12 @@ TEST(ServeConfig, OnlineConfigJsonRoundTripsExactly) {
   config.colors = 3;
   config.samples = 9;
   config.seed = 0xFFFFFFFFFFFFFFFFULL;  // above 2^53: must survive as a string
-  config.reuse_nodes = false;
 
   const dist::OnlineConfig round = online_config_from_json(online_config_to_json(config));
   EXPECT_EQ(round.strategy, config.strategy);
   EXPECT_EQ(round.colors, config.colors);
   EXPECT_EQ(round.samples, config.samples);
   EXPECT_EQ(round.seed, config.seed);
-  EXPECT_EQ(round.reuse_nodes, config.reuse_nodes);
 
   EXPECT_THROW(online_config_from_json(Json::parse(R"({"strategy":"nope"})")),
                util::JsonError);
@@ -510,12 +508,14 @@ TEST(ServeConfig, OnlineConfigJsonRoundTripsExactly) {
 
 TEST(ServeConfig, UnknownConfigKeysGetAnErrorReplyNamingTheKey) {
   // A removed knob ("mode" selected the since-deleted rebuild/incremental
-  // evaluation paths) or a misspelled one must not silently run with the
-  // default: the open is answered with an error that names the key.
+  // evaluation paths, the second key the since-deleted persistent node
+  // fleet) or a misspelled one must not silently run with the default: the
+  // open is answered with an error that names the key.
   util::Rng rng(5);
   const model::Network net = testing_helpers::random_network(rng, 3, 6, 3);
   for (const auto& [config, key] :
        {std::pair<const char*, const char*>{R"({"mode":"rebuild"})", "mode"},
+        {R"({"reuse_nodes":false})", "reuse_nodes"},
         {R"({"colors":2,"predictor":{"enabled":true,"gird":4}})", "gird"}}) {
     SCOPED_TRACE(config);
     Session session;

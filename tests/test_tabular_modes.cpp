@@ -6,8 +6,8 @@
 //     bitwise-equal planned utilities, same effort counters — across panel
 //     shapes, tie-break settings, warm starts, one paper-scale instance and
 //     one deadline-tight instance;
-//   - the online negotiation: the nodes' column-cached pricing with
-//     persistent nodes against a fresh fleet per re-plan.
+//   - the online negotiation: whole runs of the column-cached nodes against
+//     reference_online, the cache-free replay of the driver.
 // The suite and test names predate the removal of the per-scheduler
 // incremental/rebuild mode switch and are kept so results stay comparable
 // across history.
@@ -24,7 +24,9 @@ namespace haste {
 namespace {
 
 using testing_helpers::expect_identical_schedules;
+using testing_helpers::expect_matches_reference_online;
 using testing_helpers::random_network;
+using testing_helpers::reference_online;
 using testing_helpers::reference_tabular_greedy;
 
 void expect_identical_results(const core::OfflineResult& reference,
@@ -115,29 +117,31 @@ TEST(TabularReference, TightDeadlinesMatchReference) {
 
 class OnlineModeDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
-// The distributed negotiation (elections and the sequential token protocol):
-// remote UPDATEs dirty exactly the plan columns whose utilities moved, so the
-// column-cached nodes with persistent caches reproduce a fresh fleet's
-// marginals, elections and messages.
+// The distributed negotiation (elections and the sequential token protocol),
+// with and without a charger failure: the column-cached nodes, whose remote
+// UPDATEs re-price only the plan columns whose utilities moved, reproduce the
+// cache-free replay of the online driver — schedule, utility and the whole
+// bus ledger.
 TEST_P(OnlineModeDifferential, NegotiationIncrementalMatchesRebuild) {
   util::Rng rng(GetParam());
   const model::Network net = random_network(rng, 5, 12, 4);
   for (const dist::OnlineStrategy strategy :
        {dist::OnlineStrategy::kHaste, dist::OnlineStrategy::kHasteSequential}) {
-    dist::OnlineConfig fresh;
-    fresh.strategy = strategy;
-    fresh.colors = 2;
-    fresh.samples = 8;
-    fresh.seed = GetParam();
-    fresh.reuse_nodes = false;
-    dist::OnlineConfig persistent = fresh;
-    persistent.reuse_nodes = true;
-    const dist::OnlineResult a = dist::run_online(net, fresh);
-    const dist::OnlineResult b = dist::run_online(net, persistent);
-    EXPECT_EQ(a.evaluation.weighted_utility, b.evaluation.weighted_utility);
-    EXPECT_EQ(a.messages, b.messages);
-    EXPECT_EQ(a.rounds, b.rounds);
-    expect_identical_schedules(a.schedule, b.schedule);
+    for (const bool failure : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "sequential "
+                                        << (strategy == dist::OnlineStrategy::kHasteSequential)
+                                        << " failure " << failure);
+      dist::OnlineConfig config;
+      config.strategy = strategy;
+      config.colors = 2;
+      config.samples = 8;
+      config.seed = GetParam();
+      if (failure) {
+        config.failures = {{static_cast<model::ChargerIndex>(GetParam() % 5), 2}};
+      }
+      expect_matches_reference_online(dist::run_online(net, config),
+                                      reference_online(net, config));
+    }
   }
 }
 

@@ -611,12 +611,7 @@ int main(int argc, char** argv) {
   // "trace" and "metrics-out" are accepted by every subcommand.
   std::vector<std::string_view> known = entry->flags;
   known.insert(known.end(), {"trace", "metrics-out"});
-  if (const std::vector<std::string> unknown = flags.unknown(known); !unknown.empty()) {
-    std::cerr << "haste_cli " << command << ": unknown flag";
-    for (const std::string& name : unknown) std::cerr << " --" << name;
-    std::cerr << " (see the header of tools/haste_cli.cpp)\n";
-    return 2;
-  }
+  if (flags.reject_unknown("haste_cli " + command, known)) return 2;
 
   std::string trace_path = flags.get("trace");
   if (trace_path.empty()) {

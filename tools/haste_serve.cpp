@@ -469,12 +469,7 @@ int main(int argc, char** argv) {
   try {
     const util::Flags flags = util::Flags::parse(argc, argv);
     if (!flags.positional().empty()) return usage();
-    if (const std::vector<std::string> unknown = flags.unknown(kFlags); !unknown.empty()) {
-      std::cerr << "haste_serve: unknown flag";
-      for (const std::string& name : unknown) std::cerr << " --" << name;
-      std::cerr << " (see the header of tools/haste_serve.cpp)\n";
-      return 2;
-    }
+    if (flags.reject_unknown("haste_serve", kFlags)) return 2;
     if (flags.get_bool("self-test")) return self_test_main(flags, self_path(argv[0]));
     if (flags.has("connect")) return replay_main(flags);
     return serve_main(flags);

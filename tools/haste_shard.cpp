@@ -196,12 +196,7 @@ int main(int argc, char** argv) {
 
   try {
     const util::Flags flags = util::Flags::parse(argc, argv);
-    if (const std::vector<std::string> unknown = flags.unknown(kFlags); !unknown.empty()) {
-      std::cerr << "haste_shard: unknown flag";
-      for (const std::string& name : unknown) std::cerr << " --" << name;
-      std::cerr << " (see the header of tools/haste_shard.cpp)\n";
-      return 2;
-    }
+    if (flags.reject_unknown("haste_shard", kFlags)) return 2;
 
     sim::ScenarioConfig config = flags.get("preset", "paper") == "small"
                                      ? sim::ScenarioConfig::small_scale()
