@@ -11,16 +11,13 @@ constexpr double kTieSlack = 1e-12;
 }  // namespace
 
 ChargerNode::ChargerNode(const model::Network& net, model::ChargerIndex id,
-                         core::MarginalEngine::Config engine_config,
-                         const std::vector<model::TaskIndex>& known_tasks,
-                         std::span<const double> initial_energy)
+                         core::MarginalEngine& engine,
+                         const std::vector<model::TaskIndex>& known_tasks)
     : net_(&net),
       id_(id),
-      engine_config_(engine_config),
-      dominant_(core::extract_dominant_sets(net, id, known_tasks)),
-      engine_(net, engine_config, initial_energy) {
-  previous_orientation_.assign(static_cast<std::size_t>(std::max(1, engine_config.colors)),
-                               std::nullopt);
+      engine_(engine),
+      dominant_(core::extract_dominant_sets(net, id, known_tasks)) {
+  previous_orientation_.assign(static_cast<std::size_t>(engine_.colors()), std::nullopt);
 
   // HELLO: announce which known tasks this charger can cover, with the
   // per-slot energy it would deliver (lets neighbors predict participation).
@@ -62,7 +59,7 @@ bool ChargerNode::begin_stage(model::SlotIndex slot, int color) {
   stage_cache_.assign(stage_policies_.size(), PolicyTermCache{});
   stage_samples_.clear();
   for (int s = 0; s < engine_.samples(); ++s) {
-    if (core::MarginalEngine::panel_color(engine_config_.seed, s, id_, slot,
+    if (core::MarginalEngine::panel_color(engine_.seed(), s, id_, slot,
                                           engine_.colors()) == color) {
       stage_samples_.push_back(s);
     }
@@ -217,11 +214,9 @@ void ChargerNode::receive(const Message& message) {
       return;
     }
     case Command::kUpdate: {
-      // Apply the neighbor's committed tuple to the local view and
-      // re-evaluate; the stage check matters because UPDATEs always concern
-      // the current stage, but be defensive.
-      engine_.commit(message.sender, message.slot, message.policy.tasks,
-                     message.policy.slot_energy, message.color);
+      // The sender already committed the tuple to the shared engine; only
+      // the columns it dirtied re-price. The stage check matters because
+      // UPDATEs always concern the current stage, but be defensive.
       neighbor_decided_[message.sender] = true;
       if (!decided_ && message.slot == stage_slot_ && message.color == stage_color_) {
         recompute_best();
@@ -300,7 +295,7 @@ void ChargerNode::write_schedule(model::Schedule& schedule,
   }
   for (const auto& [slot, per_color] : selections_) {
     if (slot < first_slot) continue;
-    const int c = core::MarginalEngine::final_color(engine_config_.seed, id_, slot,
+    const int c = core::MarginalEngine::final_color(engine_.seed(), id_, slot,
                                                     engine_.colors());
     if (static_cast<std::size_t>(c) < per_color.size() &&
         per_color[static_cast<std::size_t>(c)].has_value()) {
@@ -308,7 +303,5 @@ void ChargerNode::write_schedule(model::Schedule& schedule,
     }
   }
 }
-
-double ChargerNode::local_expected_value() const { return engine_.expected_value(); }
 
 }  // namespace haste::dist

@@ -11,16 +11,20 @@
 // driven by the orchestrator (dist/online.cpp):
 //   1. every undecided participant broadcasts its best marginal (VALUE);
 //   2. a node whose (marginal, id) beats every undecided participating
-//      neighbor commits: it adds the S-C tuple locally and broadcasts UPDATE;
-//   3. receivers of UPDATE apply the remote commit and recompute.
+//      neighbor commits: it adds the S-C tuple and broadcasts UPDATE;
+//   3. receivers of UPDATE mark the sender decided and recompute.
 // Marginals only shrink as commits accumulate (submodularity), so acting on
 // a one-round-old neighbor value is safe — exactly the argument the paper
 // uses to order the asynchronous executions.
+//
+// The fleet shares one energy view (MarginalEngine), which is exact: a node
+// prices only tasks it covers, every charger covering one is its neighbor,
+// and no two neighbors commit in one round, so on those tasks the shared
+// engine holds bit for bit what a private copy fed by UPDATEs would.
 #pragma once
 
 #include <map>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/objective.hpp"
@@ -34,8 +38,10 @@ namespace haste::dist {
 /// exactly one plan: the online driver builds a fresh fleet per re-plan.
 class ChargerNode {
  public:
-  /// Starts a plan over `known_tasks` (the tasks released so far) with the
-  /// given per-task already-harvested energies (may be empty = zeros).
+  /// Starts a plan over `known_tasks` (the tasks released so far) on the
+  /// re-plan's shared `engine`, which must outlive the node and hold the
+  /// harvested energies but no commit yet. The node's own commits are the
+  /// only ones it adds to `engine`.
   ///
   /// Stage marginals are priced through a term cache shared by all stage
   /// policies, keyed by (plan column, sample) and refreshed lazily via the
@@ -45,9 +51,8 @@ class ChargerNode {
   /// Every announced marginal is bit-identical to the engine's from-scratch
   /// MarginalEngine::marginal of the same policy.
   ChargerNode(const model::Network& net, model::ChargerIndex id,
-              core::MarginalEngine::Config engine_config,
-              const std::vector<model::TaskIndex>& known_tasks,
-              std::span<const double> initial_energy);
+              core::MarginalEngine& engine,
+              const std::vector<model::TaskIndex>& known_tasks);
 
   model::ChargerIndex id() const { return id_; }
 
@@ -86,13 +91,6 @@ class ChargerNode {
   /// clearing those slots first.
   void write_schedule(model::Schedule& schedule, model::SlotIndex first_slot) const;
 
-  /// The planner's local expected utility estimate (diagnostics).
-  double local_expected_value() const;
-
-  /// Evaluation counters of this plan's engine. Lets the online driver
-  /// charge row_term work to re-plans.
-  core::MarginalEngine::Stats engine_stats() const { return engine_.stats(); }
-
  private:
   void recompute_best();
   double refresh_policy(std::size_t q);  ///< lazily refreshed marginal
@@ -101,10 +99,9 @@ class ChargerNode {
 
   const model::Network* net_;
   model::ChargerIndex id_;
-  core::MarginalEngine::Config engine_config_;
+  core::MarginalEngine& engine_;  // the re-plan's shared energy view
 
   std::vector<core::DominantTaskSet> dominant_;
-  core::MarginalEngine engine_;
   Message hello_;
 
   // What each neighbor announced in its HELLO: coverable known tasks.
@@ -133,7 +130,7 @@ class ChargerNode {
   // task, sample) — a "column" — and stamped with the engine's (task,
   // sample) version; a term priced in one stage stays fresh for later stages
   // until a commit actually moves that task's utility in that sample, and a
-  // remote UPDATE re-prices only the columns it dirtied, once, for all
+  // neighbor's commit re-prices only the columns it dirtied, once, for all
   // policies at once. Tardy rows, whose deadline-discounted slot_energy
   // deviates from the column's base delta, get overflow columns keyed
   // (task, delta).

@@ -1,7 +1,6 @@
 #include "dist/online.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -36,27 +35,13 @@ void splice_plan(model::Schedule& target, const model::Schedule& source,
   }
 }
 
-using Fleet = std::vector<std::unique_ptr<ChargerNode>>;
-
-/// Sums the engine evaluation counters over a fleet (each re-plan builds a
-/// fresh fleet, so the totals are this re-plan's cost).
-core::MarginalEngine::Stats fleet_engine_stats(const Fleet& fleet) {
-  core::MarginalEngine::Stats total;
-  for (const auto& node : fleet) {
-    const core::MarginalEngine::Stats stats = node->engine_stats();
-    total.row_terms += stats.row_terms;
-    total.marginals += stats.marginals;
-    total.commits += stats.commits;
-  }
-  return total;
-}
-
 /// Election stages of Algorithm 3: for every (slot, color) stage of the
 /// plan, synchronous rounds in which undecided participants announce their
-/// best marginal (VALUE) and local maxima commit (UPDATE).
+/// best marginal (VALUE) and local maxima commit (UPDATE). `log`, when
+/// given, receives the UPDATEs in commit order (so does run_token_turns').
 void run_elections(const model::Network& net, int colors,
                    const std::vector<ChargerNode*>& workers, model::SlotIndex plan_start,
-                   BroadcastBus& bus, std::uint64_t& rounds) {
+                   BroadcastBus& bus, std::uint64_t& rounds, std::vector<Message>* log) {
   for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
     for (int c = 0; c < colors; ++c) {
       std::vector<ChargerNode*> participants;
@@ -82,7 +67,10 @@ void run_elections(const model::Network& net, int colors,
         }
         bus.flush_round();
         for (ChargerNode* node : participants) {
-          if (auto msg = node->try_commit()) bus.broadcast(*msg);
+          if (auto msg = node->try_commit()) {
+            bus.broadcast(*msg);
+            if (log != nullptr) log->push_back(std::move(*msg));
+          }
         }
         bus.flush_round();
       }
@@ -100,67 +88,96 @@ void run_elections(const model::Network& net, int colors,
 void run_token_turns(const model::Network& net, int colors,
                      const std::vector<ChargerNode*>& workers,
                      model::SlotIndex plan_start, BroadcastBus& bus,
-                     std::uint64_t& rounds) {
+                     std::uint64_t& rounds, std::vector<Message>* log) {
   for (int c = 0; c < colors; ++c) {
     for (ChargerNode* node : workers) {  // ascending id: the fleet is built in order
       ++rounds;                          // one token turn
       for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
         if (!node->begin_stage(k, c)) continue;
-        if (auto msg = node->force_commit()) bus.broadcast(*msg);
+        if (auto msg = node->force_commit()) {
+          bus.broadcast(*msg);
+          if (log != nullptr) log->push_back(std::move(*msg));
+        }
       }
       bus.flush_round();  // successors see this node's selections
     }
   }
 }
 
-/// Runs one re-plan's negotiation over `fleet` (the alive chargers in
-/// ascending id order): wires the fleet onto a fresh bus with
-/// alive-restricted neighborhoods, runs the HELLO round and the strategy's
-/// stage loop, writes the agreed plan into `executed` from `plan_start` on
-/// and accumulates the bus counters.
-void negotiate(const model::Network& net, const OnlineConfig& config, const Fleet& fleet,
-               model::SlotIndex plan_start, const std::vector<bool>& alive,
-               model::Schedule& executed, OnlineResult& result) {
+/// Runs one re-plan's negotiation: builds the shared engine (seeded with
+/// `harvested`) and a fleet of the alive chargers in ascending id order,
+/// wires the fleet onto a fresh bus with alive-restricted neighborhoods,
+/// runs the HELLO round and the strategy's stage loop, writes the agreed
+/// plan into `result.schedule` from `plan_start` on and accumulates the bus
+/// counters. Returns the engine's effort counters.
+///
+/// When `plan_value` is given it receives the predictor's plan value: the sum
+/// over the fleet of each node's local view, i.e. `harvested` plus the node's
+/// own and its neighbors' UPDATEs. Commits that touch one task come from
+/// neighbors, which never commit in the same round, so replaying the UPDATE
+/// log adds every (task, sample) energy in the order the node's view would.
+core::MarginalEngine::Stats negotiate(const model::Network& net, const OnlineConfig& config,
+                                      const std::vector<model::TaskIndex>& known,
+                                      const std::vector<double>& harvested,
+                                      model::SlotIndex plan_start,
+                                      const std::vector<bool>& alive, double* plan_value,
+                                      OnlineResult& result) {
+  const core::MarginalEngine::Config engine_config{config.colors, config.samples,
+                                                   config.seed};
+  core::MarginalEngine engine(net, engine_config, harvested);
+  std::vector<std::unique_ptr<ChargerNode>> fleet;  // alive chargers, ascending id
   BroadcastBus bus;
-  for (const auto& node : fleet) {
-    ChargerNode* receiver = node.get();
-    bus.register_node(node->id(), [receiver](const Message& m) { receiver->receive(m); });
+  for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
+    if (!alive[static_cast<std::size_t>(i)]) continue;
+    fleet.push_back(std::make_unique<ChargerNode>(net, i, engine, known));
+    ChargerNode* receiver = fleet.back().get();
+    bus.register_node(i, [receiver](const Message& m) { receiver->receive(m); });
     std::vector<model::ChargerIndex> neighbors;
-    for (model::ChargerIndex j : net.neighbors(node->id())) {
+    for (model::ChargerIndex j : net.neighbors(i)) {
       if (alive[static_cast<std::size_t>(j)]) neighbors.push_back(j);
     }
-    bus.set_neighbors(node->id(), std::move(neighbors));
+    bus.set_neighbors(i, std::move(neighbors));
   }
   // Plan start: everyone announces its coverable known tasks (HELLO).
   for (const auto& node : fleet) bus.broadcast(node->hello());
   bus.flush_round();
 
+  // A charger without work keeps its schedule rows untouched: it had no
+  // coverable known task at any earlier re-plan either (known tasks only
+  // grow), so it never wrote a row.
   std::vector<ChargerNode*> workers;
   for (const auto& node : fleet) {
     if (node->has_work()) workers.push_back(node.get());
   }
-  // The engine's color count may have been clamped (colors < 1 -> 1).
-  const int colors = std::max(1, config.colors);
+  std::vector<Message> log;
+  std::vector<Message>* kept = plan_value != nullptr ? &log : nullptr;
   if (config.strategy == OnlineStrategy::kHasteSequential) {
-    run_token_turns(net, colors, workers, plan_start, bus, result.rounds);
+    run_token_turns(net, engine.colors(), workers, plan_start, bus, result.rounds, kept);
   } else {
-    run_elections(net, colors, workers, plan_start, bus, result.rounds);
+    run_elections(net, engine.colors(), workers, plan_start, bus, result.rounds, kept);
   }
-
-  for (ChargerNode* node : workers) node->write_schedule(executed, plan_start);
-  // Chargers without work keep (persist) their previous orientation — their
-  // schedule rows beyond plan_start are cleared so stale plans do not execute.
-  for (const auto& node : fleet) {
-    if (!node->has_work()) {
-      for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
-        executed.clear(node->id(), k);
-      }
-    }
-  }
+  for (ChargerNode* node : workers) node->write_schedule(result.schedule, plan_start);
 
   result.messages += bus.stats().broadcasts;
   result.deliveries += bus.stats().deliveries;
   result.message_bytes += bus.stats().bytes;
+
+  if (plan_value != nullptr) {
+    *plan_value = 0.0;
+    for (const auto& node : fleet) {
+      const auto neighbors = net.neighbors(node->id());
+      core::MarginalEngine view(net, engine_config, harvested);
+      for (const Message& update : log) {
+        if (update.sender == node->id() ||
+            std::binary_search(neighbors.begin(), neighbors.end(), update.sender)) {
+          view.commit(update.sender, update.slot, update.policy.tasks,
+                      update.policy.slot_energy, update.color);
+        }
+      }
+      *plan_value += view.expected_value();
+    }
+  }
+  return engine.stats();
 }
 
 }  // namespace
@@ -302,23 +319,12 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
   const std::vector<double> harvested =
       core::prefix_task_energy(net_, result_.schedule, plan_start);
 
-  const bool negotiated = config_.strategy == OnlineStrategy::kHaste ||
-                          config_.strategy == OnlineStrategy::kHasteSequential;
-  Fleet fleet;  // alive chargers, ascending id
-  if (negotiated) {
-    const core::MarginalEngine::Config engine_config{config_.colors, config_.samples,
-                                                     config_.seed};
-    for (model::ChargerIndex i = 0; i < net_.charger_count(); ++i) {
-      if (!alive_[static_cast<std::size_t>(i)]) continue;
-      fleet.push_back(
-          std::make_unique<ChargerNode>(net_, i, engine_config, known_, harvested));
-    }
-  }
-
+  core::MarginalEngine::Stats stats;  // stays zero for the greedy strategies
   switch (config_.strategy) {
     case OnlineStrategy::kHaste:
     case OnlineStrategy::kHasteSequential:
-      negotiate(net_, config_, fleet, plan_start, alive_, result_.schedule, result_);
+      stats = negotiate(net_, config_, known_, harvested, plan_start, alive_,
+                        predictor_ != nullptr ? &record.plan_value : nullptr, result_);
       break;
     case OnlineStrategy::kGreedyUtility: {
       const model::Schedule plan = baseline::schedule_greedy_utility_over(
@@ -336,8 +342,7 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
 
   record.messages = result_.messages - messages_before;
   record.rounds = result_.rounds - rounds_before;
-  const core::MarginalEngine::Stats plan_stats = fleet_engine_stats(fleet);
-  record.row_evals = plan_stats.row_terms;
+  record.row_evals = stats.row_terms;
   result_.row_evaluations += record.row_evals;
   replan_span.arg("row_evals",
                   util::Json(static_cast<std::int64_t>(record.row_evals)));
@@ -345,8 +350,8 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
   HASTE_OBS_COUNTER_ADD("online.row_evals", record.row_evals);
   // Counter parity with the offline/greedy schedulers, so profiles can
   // compare oracle effort across all three scheduling paths.
-  HASTE_OBS_COUNTER_ADD("online.marginal_evals", plan_stats.marginals);
-  HASTE_OBS_COUNTER_ADD("online.commits", plan_stats.commits);
+  HASTE_OBS_COUNTER_ADD("online.marginal_evals", stats.marginals);
+  HASTE_OBS_COUNTER_ADD("online.commits", stats.commits);
   HASTE_OBS_COUNTER_ADD("bus.broadcasts", record.messages);
   HASTE_OBS_COUNTER_ADD("bus.deliveries", result_.deliveries - deliveries_before);
   HASTE_OBS_COUNTER_ADD("bus.bytes", result_.message_bytes - bytes_before);
@@ -358,12 +363,7 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
     // escalate (predictions held) or reset on a utility shortfall. The
     // greedy strategies carry no negotiated value estimate — NaN skips the
     // shortfall test while still advancing the cadence clock.
-    double plan_value = std::numeric_limits<double>::quiet_NaN();
-    if (negotiated) {
-      plan_value = 0.0;
-      for (const auto& node : fleet) plan_value += node->local_expected_value();
-    }
-    predictor_->on_replan(event_slot, plan_value, known_.size());
+    predictor_->on_replan(event_slot, record.plan_value, known_.size());
   }
   result_.log.push_back(record);
   return &result_.log.back();

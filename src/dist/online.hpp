@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -69,6 +70,10 @@ struct NegotiationRecord {
   std::uint64_t messages = 0;        ///< broadcasts spent on this re-plan
   std::uint64_t rounds = 0;          ///< negotiation rounds of this re-plan
   std::uint64_t row_evals = 0;       ///< engine row_term evaluations spent
+  /// The plan value handed to the predictor: the sum over the fleet of each
+  /// node's local expected utility. NaN without a predictor or for the
+  /// greedy strategies, which do not negotiate.
+  double plan_value = std::numeric_limits<double>::quiet_NaN();
 };
 
 /// Result of an online run.
@@ -97,10 +102,11 @@ struct OnlineResult {
 /// pushed before same-slot failures (the tie-break the event queue applies).
 /// Each event triggers at most one re-plan, whose effect is delayed by tau
 /// slots exactly as in the batch driver. A re-plan negotiates on a fresh
-/// fleet of per-charger nodes seeded with the energy the executed schedule
-/// harvests before the plan starts; what a session carries between events is
-/// that schedule, the known tasks and the alive set, so pushing events one at
-/// a time never replays the earlier negotiations.
+/// fleet of per-charger nodes sharing one energy view, seeded with the energy
+/// the executed schedule harvests before the plan starts; what a session
+/// carries between events is that schedule, the known tasks and the alive
+/// set, so pushing events one at a time never replays the earlier
+/// negotiations.
 class OnlineSession {
  public:
   /// Binds to `net`, which must outlive the session. `config.failures` is

@@ -494,6 +494,12 @@ TEST(DeadlineScenario, OnlineNegotiationSurvivesFullyPrunedChargers) {
   // which shares this code path; a second run is deterministic.
   const dist::OnlineResult again = dist::run_online(net, online);
   EXPECT_EQ(result.evaluation.weighted_utility, again.evaluation.weighted_utility);
+
+  // The cache-free replay checks, stage by stage, that the HELLO-based
+  // participation rule (deadline drops included) predicts exactly which
+  // neighbors have stage policies.
+  testing_helpers::expect_matches_reference_online(
+      result, testing_helpers::reference_online(net, online));
 }
 
 }  // namespace

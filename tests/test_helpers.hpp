@@ -20,6 +20,7 @@
 #include <queue>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -442,8 +443,14 @@ class ShadowCharger {
 /// round, participation rule, election and token loops, bus ledger and
 /// schedule splice, over a fresh ShadowCharger fleet per re-plan. Fills the
 /// schedule, evaluation, messages, deliveries, message_bytes, rounds,
-/// negotiations and the per-re-plan log of the result; the effort counters
-/// (row_evaluations, each record's row_evals) stay zero.
+/// negotiations and the per-re-plan log of the result, each record's
+/// plan_value with the sum of the fleet's expected_value()s; the effort
+/// counters (row_evaluations, each record's row_evals) stay zero.
+///
+/// Every election also checks the two facts that let the production fleet
+/// share one energy view, and throws std::logic_error when one fails: no two
+/// neighbors commit in the same round, and the HELLO-based participation
+/// prediction agrees with which neighbors actually have stage policies.
 inline dist::OnlineResult reference_online(const model::Network& net,
                                            const dist::OnlineConfig& config) {
   if (config.predictor.enabled ||
@@ -565,8 +572,21 @@ inline dist::OnlineResult reference_online(const model::Network& net,
       for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
         for (int c = 0; c < colors; ++c) {
           std::vector<ShadowCharger*> participants;
+          std::vector<bool> participating(n, false);
           for (ShadowCharger* worker : workers) {
-            if (!worker->policies(k).empty()) participants.push_back(worker);
+            if (!worker->policies(k).empty()) {
+              participants.push_back(worker);
+              participating[static_cast<std::size_t>(worker->id())] = true;
+            }
+          }
+          for (ShadowCharger* participant : participants) {
+            for (model::ChargerIndex j : net.neighbors(participant->id())) {
+              if (participates(j, k) != participating[static_cast<std::size_t>(j)]) {
+                throw std::logic_error("reference_online: HELLO predicts charger " +
+                                       std::to_string(j) + " wrongly at slot " +
+                                       std::to_string(k));
+              }
+            }
           }
           std::vector<bool> decided(participants.size(), false);
           // What the stage's broadcasts told every neighbor: the latest
@@ -620,6 +640,18 @@ inline dist::OnlineResult reference_online(const model::Network& net,
               decided[p] = true;
               updates.push_back(select(shadow, k, c, *best, marginal));
             }
+            for (std::size_t a = 0; a < updates.size(); ++a) {
+              const auto neighbors = net.neighbors(updates[a].sender);
+              for (std::size_t b = a + 1; b < updates.size(); ++b) {
+                if (std::binary_search(neighbors.begin(), neighbors.end(),
+                                       updates[b].sender)) {
+                  throw std::logic_error(
+                      "reference_online: neighbors " + std::to_string(updates[a].sender) +
+                      " and " + std::to_string(updates[b].sender) +
+                      " committed in one round");
+                }
+              }
+            }
             deliver(updates);
             for (const dist::Message& update : updates) {
               out[static_cast<std::size_t>(update.sender)] = true;
@@ -643,6 +675,8 @@ inline dist::OnlineResult reference_online(const model::Network& net,
     }
     record.messages = result.messages - messages_before;
     record.rounds = result.rounds - rounds_before;
+    record.plan_value = 0.0;
+    for (const auto& shadow : fleet) record.plan_value += shadow->expected_value();
     result.log.push_back(record);
   };
 
@@ -694,7 +728,7 @@ inline void expect_identical_schedules(const model::Schedule& a, const model::Sc
 
 /// Asserts an online run matches reference_online's replay: schedule,
 /// evaluation, the whole bus ledger and every re-plan record except its
-/// effort counter.
+/// effort counter and its plan value (NaN in a predictor-off run).
 inline void expect_matches_reference_online(const dist::OnlineResult& actual,
                                             const dist::OnlineResult& reference) {
   expect_identical_schedules(actual.schedule, reference.schedule);

@@ -53,12 +53,12 @@ std::vector<double> harvested_energy(const model::Network& net, util::Rng& rng) 
 }
 
 // Drives a node and its shadow oracle through identical stage sequences,
-// interleaving remote commits from a second charger, and checks every
-// announced marginal, every committed policy, the final schedule, and the
-// expected value agree bit for bit — on a deadline-free network and on a
-// linear-deadline one whose tardy rows live in overflow columns, each from
-// zero energy and from a re-plan's nonzero harvested energy (which seeds the
-// node's initial column terms).
+// interleaving remote commits from a second charger on the same shared
+// engine, and checks every announced marginal, every committed policy, the
+// final schedule, and the expected value agree bit for bit — on a
+// deadline-free network and on a linear-deadline one whose tardy rows live in
+// overflow columns, each from zero energy and from a re-plan's nonzero
+// harvested energy (which seeds the node's initial column terms).
 TEST(ChargerNodeModes, TwinNodesAgreeAcrossRemoteCommits) {
   for (const bool deadlines : {false, true}) {
     for (const bool harvested : {false, true}) {
@@ -73,9 +73,10 @@ TEST(ChargerNodeModes, TwinNodesAgreeAcrossRemoteCommits) {
         const int colors = 2;
         const core::MarginalEngine::Config config{colors, 8, seed};
         const std::vector<model::TaskIndex> known = all_tasks(net);
-        dist::ChargerNode node(net, 0, config, known, initial);
+        core::MarginalEngine engine(net, config, initial);
+        dist::ChargerNode node(net, 0, engine, known);
         ShadowCharger shadow(net, 0, config, known, initial);
-        dist::ChargerNode remote(net, 1, config, known, initial);
+        dist::ChargerNode remote(net, 1, engine, known);
 
         model::Schedule expected(net.charger_count(), net.horizon());
         for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
@@ -94,8 +95,8 @@ TEST(ChargerNodeModes, TwinNodesAgreeAcrossRemoteCommits) {
                   << "slot " << k << " color " << c;
             }
 
-            // A neighbor commits: node and shadow fold the UPDATE into their
-            // engines; the node must re-price only the dirtied columns yet
+            // A neighbor commits to the shared engine and the shadow folds
+            // its UPDATE; the node must re-price only the dirtied columns yet
             // answer exactly like the from-scratch shadow.
             if (remote_works) {
               if (const auto update = remote.force_commit()) {
@@ -126,7 +127,7 @@ TEST(ChargerNodeModes, TwinNodesAgreeAcrossRemoteCommits) {
         for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
           EXPECT_EQ(schedule.assignment(0, k), expected.assignment(0, k)) << "slot " << k;
         }
-        EXPECT_EQ(node.local_expected_value(), shadow.expected_value());
+        EXPECT_EQ(engine.expected_value(), shadow.expected_value());
       }
     }
   }
@@ -136,8 +137,8 @@ TEST(ChargerNodeModes, TwinNodesAgreeAcrossRemoteCommits) {
 TEST(ChargerNodeModes, NodeWithoutWorkStaysPassive) {
   util::Rng rng(4);
   const model::Network net = random_network(rng, 2, 6, 3);
-  const core::MarginalEngine::Config config{2, 4, 4};
-  dist::ChargerNode node(net, 0, config, {}, {});
+  core::MarginalEngine engine(net, {2, 4, 4});
+  dist::ChargerNode node(net, 0, engine, {});
   EXPECT_FALSE(node.has_work());
   EXPECT_FALSE(node.begin_stage(0, 0));
   EXPECT_TRUE(node.decided());

@@ -276,6 +276,42 @@ TEST(OnlineSession, RepeatedFailureOfADeadChargerIsANoOp) {
   EXPECT_GE(result.evaluation.weighted_utility, 0.0);
 }
 
+TEST(OnlineSession, ChargerWithoutWorkNeverWritesARow) {
+  // A charger that covers no task never has work, and known tasks only grow,
+  // so it never wrote a schedule row at any earlier re-plan either: the
+  // negotiation need not clear its rows. Pinned after every event (each
+  // event prefix replayed into its own session) with another charger
+  // failing mid-run, and the whole run still matches the cache-free replay.
+  util::Rng rng(403);
+  const model::Network base = random_network(rng, 4, 10, 5);
+  std::vector<model::Charger> chargers = base.chargers();
+  chargers.push_back(model::Charger{{100.0, 100.0}});  // out of every task's range
+  const model::Network net(chargers, base.tasks(), base.power_model(), base.time());
+  const model::ChargerIndex idle = 4;
+  ASSERT_TRUE(net.coverable_tasks(idle).empty());
+  for (const OnlineStrategy strategy :
+       {OnlineStrategy::kHaste, OnlineStrategy::kHasteSequential}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "sequential " << (strategy == OnlineStrategy::kHasteSequential));
+    OnlineConfig config;
+    config.strategy = strategy;
+    config.colors = 2;
+    config.samples = 4;
+    config.failures = {{1, 2}};
+    const auto events = serve::build_replay_events(net, config.failures);
+    for (std::size_t e = 1; e <= events.size(); ++e) {
+      const OnlineResult prefix = serve::replay_locally(
+          net, config, {events.begin(), events.begin() + static_cast<std::ptrdiff_t>(e)});
+      for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
+        EXPECT_FALSE(prefix.schedule.assignment(idle, k).has_value())
+            << "after event " << e << ", slot " << k;
+      }
+    }
+    testing_helpers::expect_matches_reference_online(
+        run_online(net, config), testing_helpers::reference_online(net, config));
+  }
+}
+
 TEST(Online, CompetitiveAgainstRelaxedOptimum) {
   // Theorem 6.1 (conservatively): online HASTE with C = 1 achieves at least
   // 1/2 * (1 - rho) * 1/2 of the relaxed optimum when every task lasts at

@@ -327,6 +327,43 @@ TEST(OnlinePredict, LevelZeroNoPrewarmIsFullPassThrough) {
   EXPECT_EQ(b.predictor.replans_skipped, 0u);
 }
 
+TEST(OnlinePredict, PlanValueIsTheFleetsLocalViewSum) {
+  // The value a re-plan hands the predictor is the sum over the fleet of
+  // each node's local view: the harvested energy plus the node's own
+  // commits and its alive neighbors' UPDATEs. The production fleet shares
+  // one engine and rebuilds those views from its UPDATE log; the cache-free
+  // replay keeps one engine per node. With a pass-through predictor the two
+  // must agree bit for bit, record by record.
+  const model::Network net = bursty_network(small_bursty_config(), 23);
+  for (const dist::OnlineStrategy strategy :
+       {dist::OnlineStrategy::kHaste, dist::OnlineStrategy::kHasteSequential}) {
+    for (const bool failure : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "sequential " << (strategy == dist::OnlineStrategy::kHasteSequential)
+                   << " failure " << failure);
+      dist::OnlineConfig reactive;
+      reactive.strategy = strategy;
+      reactive.colors = 2;
+      reactive.samples = 4;
+      if (failure) reactive.failures = {{1, 6}};
+      dist::OnlineConfig leashed = reactive;
+      leashed.predictor = tuned_predictor(0);
+
+      const dist::OnlineResult actual = dist::run_online(net, leashed);
+      const dist::OnlineResult reference = testing_helpers::reference_online(net, reactive);
+      ASSERT_EQ(actual.log.size(), reference.log.size());
+      ASSERT_FALSE(actual.log.empty());
+      for (std::size_t r = 0; r < actual.log.size(); ++r) {
+        EXPECT_EQ(actual.log[r].plan_value, reference.log[r].plan_value) << "record " << r;
+      }
+      // Without a predictor nothing computes the value.
+      for (const dist::NegotiationRecord& record : dist::run_online(net, reactive).log) {
+        EXPECT_TRUE(std::isnan(record.plan_value));
+      }
+    }
+  }
+}
+
 TEST(OnlinePredict, BurstyTrafficCutsNegotiationsWithinUtilityBudget) {
   // The effectiveness contract on the calibrated regime (long durations,
   // bursty hotspot arrivals): across trials the predictor cuts negotiations
